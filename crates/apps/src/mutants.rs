@@ -21,8 +21,9 @@
 //!   the replies swap and the re-arm is silently skipped.
 //!
 //! The mutants intentionally swallow the runtime's rejections (the bug is
-//! that the app *ignores* the contract), so each carries `ckd-lint` allow
-//! markers where the static lint would otherwise flag the misuse.
+//! that the app *ignores* the contract), so each discarded put carries a
+//! `ckd-check: allow(..)` marker for the two discard rules. Their races
+//! carry none: `ckd-check lint --gate` is required to flag them.
 
 use ckd_charm::{ArrayId, Chare, ChareRef, Ctx, EntryId, Machine, Msg};
 use ckd_race::SanitizerConfig;
@@ -107,11 +108,11 @@ impl MutantPeer {
             // completes — the peer will read the window on this hint
             ctx.send(self.peer.unwrap(), Msg::signal(EP_HINT));
         }
-        // ckd-lint: allow(swallowed-direct-error) ckd-lint: allow(ignored-put-outcome)
+        // ckd-check: allow(swallowed-direct-error) ckd-check: allow(ignored-put-outcome)
         let _ = ctx.direct_put(h); // bug under test: rejection ignored
         if self.kind == MutantKind::DoublePutMatmul && self.bounces == 0 {
             // second put without waiting for the first completion
-            // ckd-lint: allow(swallowed-direct-error) ckd-lint: allow(double-put-same-handle) ckd-lint: allow(ignored-put-outcome)
+            // ckd-check: allow(swallowed-direct-error) ckd-check: allow(ignored-put-outcome)
             let _ = ctx.direct_put(h);
         }
     }
@@ -141,7 +142,6 @@ impl Chare for MutantPeer {
                 // bug under test: peek at the landing window before the
                 // completion callback has fired
                 let h = self.recv_handle.expect("created");
-                // ckd-lint: allow(recv-read-outside-callback)
                 let r = ctx.direct_recv_region(h).expect("region");
                 let _ = r.len();
             }
@@ -282,7 +282,7 @@ impl Chare for SchedPinger {
                 }
             }
             EP_GO => {
-                // ckd-lint: allow(swallowed-direct-error) ckd-lint: allow(ignored-put-outcome)
+                // ckd-check: allow(swallowed-direct-error) ckd-check: allow(ignored-put-outcome)
                 let _ = ctx.direct_put(self.send_handle.unwrap());
             }
             other => panic!("unexpected {other:?}"),

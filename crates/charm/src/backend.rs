@@ -14,8 +14,8 @@
 //! is configured (ready/re-arm semantics, sentinel word layout), whether
 //! the per-PE scheduler runs a poll sweep, which protocol family a healthy
 //! one-sided transfer is accounted under, and what buffer registration
-//! costs. [`matching_backend`] is the one-line fabric lookup that
-//! [`crate::Machine::with_matching_backend`] and the builder default to.
+//! costs. [`matching_backend`] is the one-line fabric lookup the builder
+//! defaults to ([`crate::MachineBuilder::with_backend`] overrides it).
 
 use ckd_net::{FabricParams, NetModel, Protocol};
 use ckd_sim::Time;
@@ -255,8 +255,7 @@ impl CompletionBackend for NotifiedPut {
     }
 }
 
-/// The backend that matches `fabric` — the lookup behind
-/// [`crate::Machine::with_matching_backend`] and the builder default:
+/// The backend that matches `fabric` — the builder's default:
 /// sentinel polling on Infiniband, delivery callbacks on DCMF, CQ
 /// notifications on Slingshot (depth taken from the fabric's CQ model).
 pub fn matching_backend(fabric: &FabricParams) -> Box<dyn CompletionBackend> {
@@ -264,16 +263,6 @@ pub fn matching_backend(fabric: &FabricParams) -> Box<dyn CompletionBackend> {
         FabricParams::IbVerbs(_) => Box::new(IbSentinelPoll),
         FabricParams::Dcmf(_) => Box::new(DcmfCallback),
         FabricParams::Slingshot(_) => Box::new(NotifiedPut::with_depth(fabric.cq().depth)),
-    }
-}
-
-/// The backend a legacy [`DirectConfig`] implies, for
-/// [`crate::Machine::new`] compatibility.
-pub(crate) fn backend_for(direct_cfg: &DirectConfig) -> Box<dyn CompletionBackend> {
-    match direct_cfg.backend {
-        DirectBackend::IbPoll => Box::new(IbSentinelPoll),
-        DirectBackend::DcmfCallback => Box::new(DcmfCallback),
-        DirectBackend::NotifiedPut => Box::new(NotifiedPut::with_depth(direct_cfg.cq_depth)),
     }
 }
 

@@ -35,7 +35,7 @@ use ckd_trace::{Phase, ProfConfig, Profiler, ProtoClass, Snapshot, TraceConfig, 
 use ckdirect::{DirectConfig, DirectRegistry, HandleId, RegistryCounters};
 
 use crate::array::{ArrayId, ArrayInfo};
-use crate::backend::{backend_for, matching_backend, CompletionBackend};
+use crate::backend::CompletionBackend;
 use crate::builder::MachineBuilder;
 use crate::chare::{Chare, ChareRef};
 use crate::config::RtsConfig;
@@ -194,23 +194,6 @@ impl Machine {
     /// [`MachineBuilder`].
     pub fn builder(net: NetModel) -> MachineBuilder {
         MachineBuilder::new(net)
-    }
-
-    /// Build a machine from a network model, runtime costs, and a CkDirect
-    /// backend configuration. The completion backend is derived from
-    /// `direct_cfg`; use [`Machine::builder`] to choose one explicitly.
-    pub fn new(net: NetModel, cfg: RtsConfig, direct_cfg: DirectConfig) -> Machine {
-        let backend = backend_for(&direct_cfg);
-        Machine::with_backend(net, cfg, backend, direct_cfg)
-    }
-
-    /// Convenience: a machine whose CkDirect backend matches the fabric
-    /// (sentinel polling on Infiniband, delivery callbacks on DCMF) — a
-    /// one-line lookup through [`matching_backend`].
-    pub fn with_matching_backend(net: NetModel, cfg: RtsConfig) -> Machine {
-        let backend = matching_backend(net.fabric());
-        let direct_cfg = backend.direct_config();
-        Machine::with_backend(net, cfg, backend, direct_cfg)
     }
 
     pub(crate) fn with_backend(

@@ -19,33 +19,17 @@ use ckdirect::{HandleId, Region};
 // ---- selection -----------------------------------------------------------
 
 #[test]
-fn matching_backend_is_sentinel_polling_on_infiniband() {
-    let m = Machine::with_matching_backend(
-        presets::ib_abe(Topo::ib_cluster(4, 2)),
-        ckd_charm::RtsConfig::ib_abe(),
-    );
-    assert_eq!(m.backend().name(), IbSentinelPoll.name());
-    assert!(m.backend().polls());
-    assert_eq!(m.backend().sentinel(), SentinelLayout::OobWord);
-}
-
-#[test]
-fn matching_backend_is_dcmf_callbacks_on_bluegene() {
-    let m = Machine::with_matching_backend(
-        presets::bgp_surveyor(Topo::bgp_partition(8)),
-        ckd_charm::RtsConfig::bgp(),
-    );
-    assert_eq!(m.backend().name(), DcmfCallback.name());
-    assert!(!m.backend().polls());
-    assert_eq!(m.backend().sentinel(), SentinelLayout::None);
-}
-
-#[test]
 fn builder_defaults_agree_with_matching_backend() {
+    // sentinel polling on Infiniband
     let ib = Machine::builder(presets::ib_abe(Topo::ib_cluster(4, 2))).build();
     assert_eq!(ib.backend().name(), IbSentinelPoll.name());
+    assert!(ib.backend().polls());
+    assert_eq!(ib.backend().sentinel(), SentinelLayout::OobWord);
+    // delivery callbacks on Blue Gene/P's DCMF
     let bgp = Machine::builder(presets::bgp_surveyor(Topo::bgp_partition(8))).build();
     assert_eq!(bgp.backend().name(), DcmfCallback.name());
+    assert!(!bgp.backend().polls());
+    assert_eq!(bgp.backend().sentinel(), SentinelLayout::None);
 }
 
 // ---- one put workload, two completion mechanisms -------------------------

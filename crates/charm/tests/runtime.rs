@@ -1,26 +1,22 @@
 //! Integration tests of the message-driven runtime: scheduling, arrays,
 //! reductions, broadcasts, and the CkDirect wiring.
 
-use ckd_charm::{
-    Chare, Ctx, EntryId, Machine, Msg, Payload, PutOutcome, RedOp, RedTarget, RedVal, RtsConfig,
-};
+use ckd_charm::{Chare, Ctx, EntryId, Machine, Msg, Payload, PutOutcome, RedOp, RedTarget, RedVal};
 use ckd_net::presets;
 use ckd_sim::Time;
 use ckd_topo::{Dims, Idx, Machine as Topo, Mapper};
-use ckdirect::{DirectConfig, HandleId, Region};
+use ckdirect::{HandleId, Region};
 
 const EP_START: EntryId = EntryId(0);
 const EP_PING: EntryId = EntryId(1);
 const EP_DONE: EntryId = EntryId(2);
 
 fn ib_machine(pes: usize, cores: usize) -> Machine {
-    let net = presets::ib_abe(Topo::ib_cluster(pes, cores));
-    Machine::new(net, RtsConfig::ib_abe(), DirectConfig::ib())
+    Machine::builder(presets::ib_abe(Topo::ib_cluster(pes, cores))).build()
 }
 
 fn bgp_machine(pes: usize) -> Machine {
-    let net = presets::bgp_surveyor(Topo::bgp_partition(pes));
-    Machine::new(net, RtsConfig::bgp(), DirectConfig::bgp())
+    Machine::builder(presets::bgp_surveyor(Topo::bgp_partition(pes))).build()
 }
 
 // ---------------------------------------------------------------- messaging

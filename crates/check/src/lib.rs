@@ -21,7 +21,9 @@
 //! tree and tracks the handle protocol `create → assoc → armed → put →
 //! consumed` across branches and loops — flagging double puts, reads
 //! outside completion callbacks, skipped re-arms on one branch arm, puts
-//! before assoc, and dropped armed handles. [`commgraph`] extracts the
+//! before assoc, dropped armed handles, use after destroy, and discarded
+//! put outcomes and errors. It is the workspace's one static lifecycle
+//! checker. [`commgraph`] extracts the
 //! entry-point communication graph and reports cycles through the
 //! one-sided plane (ready-wait loops).
 //!

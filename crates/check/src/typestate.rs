@@ -1,11 +1,11 @@
-//! Intra-procedural channel-handle typestate analysis.
+//! Intra-procedural channel-handle typestate analysis: the one static
+//! checker of the CkDirect lifecycle.
 //!
-//! The dynamic sanitizer (`ckd-race`) sees one schedule; the textual lint
-//! (`ckd-race::lint`) sees one line at a time. This pass sits between
-//! them: it parses each function into a statement tree (branches, match
-//! arms, loops) and tracks the CkDirect handle protocol
-//! `create → assoc → armed → put → consumed` across paths, flagging only
-//! **definite** misuse — a path on which the protocol is violated no
+//! The dynamic sanitizer (`ckd-race`) sees one schedule; this pass sees
+//! every path. It parses each function — methods and free functions alike
+//! — into a statement tree (branches, match arms, loops) and tracks the
+//! handle protocol `create → assoc → armed → put → consumed` across paths.
+//! Every rule flags **definite** misuse — code that breaks the protocol no
 //! matter how the schedule falls out:
 //!
 //! * `double-put-in-flight` — two puts on the same (non-indexed) handle
@@ -25,23 +25,41 @@
 //!   with no `direct_assoc` in between on that path.
 //! * `handle-never-used` — a locally-bound created handle that is never
 //!   referenced again: an armed channel dropped on the floor.
+//! * `destroyed-handle-use` — a `direct_*` call on a handle that a
+//!   `direct_destroy` earlier on the same path tore down: the slot may be
+//!   recycled, so the stale generation is rejected (`BadHandle`).
+//! * `ignored-put-outcome` — a `direct_put` whose `PutOutcome` is dropped
+//!   (a bare statement, or `let _ =`): the app never learns its channel
+//!   went `Retried`/`Degraded` under fault injection.
+//! * `swallowed-direct-error` — a `direct_*` result discarded with
+//!   `let _ =` or `.ok()`: a rejected operation becomes a silent race,
+//!   exactly as on real hardware.
+//! * `put-without-ready` — a file that puts but never re-arms with any
+//!   `direct_ready*` form: after the first exchange every put must fail.
+//! * `pollq-without-mark` — `direct_ready_poll_q` in a file with no
+//!   `direct_ready_mark`: the insertion is rejected (`NotMarked`).
 //!
-//! A finding can be acknowledged with a `ckd-check: allow(<rule>)` marker
-//! on the same line. The deliberately-racy mutants in `ckd-apps` carry
-//! `ckd-lint` markers (for the textual lint) but **not** `ckd-check`
-//! markers — this pass is required to flag them.
+//! A finding is acknowledged with a `ckd-check: allow(<rule>)` marker on
+//! its line or the line above. The deliberately-racy mutants in
+//! `ckd-apps` acknowledge only the discarded outcomes they swallow on
+//! purpose — this pass is required to flag their races.
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
 /// Rule identifiers, in severity order.
-pub const TS_RULES: [&str; 5] = [
+pub const TS_RULES: [&str; 10] = [
     "double-put-in-flight",
     "read-outside-callback",
     "skip-ready-path",
     "put-before-assoc",
     "handle-never-used",
+    "destroyed-handle-use",
+    "ignored-put-outcome",
+    "swallowed-direct-error",
+    "put-without-ready",
+    "pollq-without-mark",
 ];
 
 /// One typestate violation.
@@ -519,10 +537,12 @@ fn put_reachable(text: &str, fns: &[(String, String)], depth: u32) -> bool {
     })
 }
 
+/// A `ckd-check: allow(<rule>)` marker on 1-based `line` or the line above.
 fn allowed(src_lines: &[&str], line: usize, rule: &str) -> bool {
-    src_lines
-        .get(line.saturating_sub(1))
-        .is_some_and(|l| l.contains(&format!("ckd-check: allow({rule})")))
+    let tag = format!("ckd-check: allow({rule})");
+    src_lines[line.saturating_sub(2)..line.min(src_lines.len())]
+        .iter()
+        .any(|l| l.contains(&tag))
 }
 
 // ---- the rules -------------------------------------------------------------
@@ -550,46 +570,65 @@ impl RuleCtx<'_> {
     }
 }
 
-/// A `direct_put` call site: the handle-argument text, the branch path
-/// (`(branch id, arm idx)` pairs), loop nesting, and offset.
-struct PutSite {
+/// A `direct_<op>(…)` call site: the operation, its first argument (the
+/// handle), the branch path (`(branch id, arm idx)` pairs), loop nesting,
+/// and the offsets of `direct_` and of the end of the call.
+struct CallSite {
+    op: String,
     arg: String,
     path: Vec<(u32, usize)>,
     in_loop: bool,
     at: usize,
+    end: usize,
 }
 
-fn collect_puts(
+fn collect_calls(
     nodes: &[Node],
     path: &mut Vec<(u32, usize)>,
     in_loop: bool,
     next_branch: &mut u32,
-    out: &mut Vec<PutSite>,
+    out: &mut Vec<CallSite>,
 ) {
     for n in nodes {
         match n {
             Node::Text(off, t) => {
+                let b = t.as_bytes();
                 let mut from = 0;
-                while let Some(p) = t[from..].find("direct_put(") {
-                    let a = from + p + "direct_put(".len();
-                    let mut depth = 1usize;
-                    let mut k = a;
-                    let b = t.as_bytes();
+                while let Some(p) = t[from..].find("direct_") {
+                    let at = from + p;
+                    from = at + "direct_".len();
+                    let op: String = t[from..]
+                        .chars()
+                        .take_while(|c| c.is_alphanumeric() || *c == '_')
+                        .collect();
+                    let open = from + op.len();
+                    if (at > 0 && is_ident(b[at - 1]))
+                        || op.is_empty()
+                        || b.get(open) != Some(&b'(')
+                    {
+                        continue;
+                    }
+                    // the first argument runs to a depth-0 comma or the
+                    // closing paren
+                    let (mut depth, mut comma, mut k) = (1usize, None, open + 1);
                     while k < b.len() && depth > 0 {
                         match b[k] {
-                            b'(' => depth += 1,
-                            b')' => depth -= 1,
+                            b'(' | b'[' => depth += 1,
+                            b')' | b']' => depth -= 1,
+                            b',' if depth == 1 && comma.is_none() => comma = Some(k),
                             _ => {}
                         }
                         k += 1;
                     }
-                    out.push(PutSite {
-                        arg: t[a..k.saturating_sub(1)].trim().to_owned(),
+                    let arg_end = comma.unwrap_or(if depth == 0 { k - 1 } else { k });
+                    out.push(CallSite {
+                        op,
+                        arg: t[open + 1..arg_end].trim().to_owned(),
                         path: path.clone(),
                         in_loop,
-                        at: off + from + p,
+                        at: off + at,
+                        end: off + k,
                     });
-                    from = a;
                 }
             }
             Node::If { arms, .. } | Node::Match { arms, .. } => {
@@ -597,12 +636,12 @@ fn collect_puts(
                 *next_branch += 1;
                 for (ai, a) in arms.iter().enumerate() {
                     path.push((id, ai));
-                    collect_puts(a, path, in_loop, next_branch, out);
+                    collect_calls(a, path, in_loop, next_branch, out);
                     path.pop();
                 }
             }
-            Node::Loop { body } => collect_puts(body, path, true, next_branch, out),
-            Node::Block { body } => collect_puts(body, path, in_loop, next_branch, out),
+            Node::Loop { body } => collect_calls(body, path, true, next_branch, out),
+            Node::Block { body } => collect_calls(body, path, in_loop, next_branch, out),
         }
     }
 }
@@ -612,12 +651,10 @@ fn mutually_exclusive(a: &[(u32, usize)], b: &[(u32, usize)]) -> bool {
         .any(|(id, arm)| b.iter().any(|(id2, arm2)| id == id2 && arm != arm2))
 }
 
-fn rule_double_put(ctx: &mut RuleCtx<'_>, func: &str, body: &[Node]) {
-    let mut sites = Vec::new();
-    collect_puts(body, &mut Vec::new(), false, &mut 0, &mut sites);
-    for i in 0..sites.len() {
-        for j in i + 1..sites.len() {
-            let (a, b) = (&sites[i], &sites[j]);
+fn rule_double_put(ctx: &mut RuleCtx<'_>, func: &str, sites: &[CallSite]) {
+    let puts: Vec<&CallSite> = sites.iter().filter(|s| s.op == "put").collect();
+    for (i, a) in puts.iter().enumerate() {
+        for b in &puts[i + 1..] {
             if a.arg != b.arg || a.arg.contains('[') || a.in_loop || b.in_loop {
                 continue;
             }
@@ -641,21 +678,17 @@ fn rule_double_put(ctx: &mut RuleCtx<'_>, func: &str, body: &[Node]) {
 fn rule_read_outside_callback(
     ctx: &mut RuleCtx<'_>,
     func: &str,
-    body_text: &str,
-    body_open: usize,
+    sites: &[CallSite],
     reachable_from_callback: bool,
 ) {
     if func == "direct_callback" || reachable_from_callback {
         return;
     }
-    let mut from = 0;
-    while let Some(p) = body_text[from..].find("direct_recv_region(") {
-        let at = from + p;
-        from = at + 1;
+    for s in sites.iter().filter(|s| s.op == "recv_region") {
         ctx.flag(
             "read-outside-callback",
             func,
-            body_open + at,
+            s.at,
             "landing buffer read outside any completion callback: no path carries evidence the put finished landing".to_owned(),
         );
     }
@@ -792,6 +825,101 @@ fn rule_handle_never_used(ctx: &mut RuleCtx<'_>, func: &str, body_text: &str, bo
     }
 }
 
+/// A `direct_*` call on a handle that a `direct_destroy` earlier on the
+/// same path already tore down.
+fn rule_destroyed_use(ctx: &mut RuleCtx<'_>, func: &str, sites: &[CallSite]) {
+    for (i, d) in sites.iter().enumerate().filter(|(_, s)| s.op == "destroy") {
+        for u in &sites[i + 1..] {
+            if u.op != "destroy" && u.arg == d.arg && !mutually_exclusive(&d.path, &u.path) {
+                ctx.flag(
+                    "destroyed-handle-use",
+                    func,
+                    u.at,
+                    format!(
+                        "`direct_{}({})` after the `direct_destroy` on line {}: the slot may be recycled, so the stale generation is rejected (BadHandle)",
+                        u.op,
+                        u.arg,
+                        line_of(ctx.scrubbed, d.at)
+                    ),
+                );
+            }
+        }
+    }
+}
+
+/// Results dropped on the floor: `let _ =` or `.ok()` swallows any
+/// `direct_*` error, and a put whose statement binds, matches, tests or
+/// asserts nothing drops its `PutOutcome`.
+fn rule_discarded(ctx: &mut RuleCtx<'_>, func: &str, sites: &[CallSite]) {
+    for s in sites {
+        // rustfmt wraps long chains, so the statement head — the `match`
+        // or `let` consuming the result — may sit lines above the call
+        let start = ctx.scrubbed[..s.at]
+            .rfind([';', '{', '}'])
+            .map_or(0, |p| p + 1);
+        let head = ctx.scrubbed[start..s.at].trim_start();
+        let discards = head.starts_with("let _ =") || head.starts_with("let _:");
+        if discards || ctx.scrubbed[s.end..].trim_start().starts_with(".ok()") {
+            ctx.flag(
+                "swallowed-direct-error",
+                func,
+                s.at,
+                format!(
+                    "`direct_{}` result discarded: a rejected operation becomes a silent data race",
+                    s.op
+                ),
+            );
+        }
+        let consumes = [
+            "let ", "match ", "if ", "while ", "return ", "assert", "Ok(", "Some(",
+        ]
+        .iter()
+        .any(|k| head.starts_with(k))
+            || head.contains(" = ");
+        if s.op == "put" && (discards || !consumes) {
+            ctx.flag(
+                "ignored-put-outcome",
+                func,
+                s.at,
+                "`direct_put` whose PutOutcome is dropped: a Retried or Degraded channel goes unnoticed".to_owned(),
+            );
+        }
+    }
+}
+
+/// File-level re-arm evidence: the first put with no `direct_ready*`
+/// anywhere in the file, and the first poll-queue insertion with no
+/// `direct_ready_mark`.
+fn rule_file_rearm(ctx: &mut RuleCtx<'_>, calls: &[(String, CallSite)]) {
+    let has = |op: &str| calls.iter().any(|(_, s)| s.op.starts_with(op));
+    let first = |op: &str| {
+        calls
+            .iter()
+            .filter(|(_, s)| s.op == op)
+            .min_by_key(|(_, s)| s.at)
+    };
+    if !has("ready") {
+        if let Some((func, s)) = first("put") {
+            ctx.flag(
+                "put-without-ready",
+                func,
+                s.at,
+                "`direct_put` with no `direct_ready*` anywhere in this file: the channel can never be re-armed for a second iteration".to_owned(),
+            );
+        }
+    }
+    if !has("ready_mark") {
+        if let Some((func, s)) = first("ready_poll_q") {
+            ctx.flag(
+                "pollq-without-mark",
+                func,
+                s.at,
+                "`direct_ready_poll_q` with no `direct_ready_mark` in this file: poll-queue insertion without a mark is rejected (NotMarked)".to_owned(),
+            );
+        }
+    }
+}
+
 // ---- driver ----------------------------------------------------------------
 
 /// Analyze one source file.
@@ -803,6 +931,7 @@ pub fn analyze_source(file: &str, src: &str) -> Vec<TsFinding> {
         src_lines: src.lines().collect(),
         findings: Vec::new(),
     };
+    let mut file_calls = Vec::new();
     for im in parse_impls(&scrubbed) {
         let fns: Vec<(String, String)> = im
             .fns
@@ -832,29 +961,31 @@ pub fn analyze_source(file: &str, src: &str) -> Vec<TsFinding> {
         for f in &im.fns {
             let body = parse_block(&scrubbed, f.body_open + 1, f.body_close);
             let body_text = &scrubbed[f.body_open + 1..f.body_close];
-            rule_double_put(&mut ctx, &f.name, &body);
-            rule_read_outside_callback(
-                &mut ctx,
-                &f.name,
-                body_text,
-                f.body_open + 1,
-                reach.contains(&f.name),
-            );
+            let mut sites = Vec::new();
+            collect_calls(&body, &mut Vec::new(), false, &mut 0, &mut sites);
+            rule_double_put(&mut ctx, &f.name, &sites);
+            rule_read_outside_callback(&mut ctx, &f.name, &sites, reach.contains(&f.name));
             if f.name == "direct_callback" {
                 rule_skip_ready(&mut ctx, &f.name, &body, &fns);
             }
             rule_put_before_assoc(&mut ctx, &f.name, body_text, f.body_open + 1);
             rule_handle_never_used(&mut ctx, &f.name, body_text, f.body_open + 1);
+            rule_destroyed_use(&mut ctx, &f.name, &sites);
+            rule_discarded(&mut ctx, &f.name, &sites);
+            file_calls.extend(sites.into_iter().map(|s| (f.name.clone(), s)));
         }
     }
+    rule_file_rearm(&mut ctx, &file_calls);
     ctx.findings
 }
 
-/// Analyze every `.rs` file under each path (file or directory, one level
-/// of recursion like the textual lint).
+/// Analyze every `.rs` file under each path (a file, or a directory
+/// scanned recursively).
 pub fn analyze_paths(paths: &[String]) -> io::Result<Vec<TsFinding>> {
     let mut files = Vec::new();
     for p in paths {
+        // a mistyped path must fail the gate, not scan nothing
+        fs::metadata(p)?;
         collect_rs(Path::new(p), &mut files)?;
     }
     files.sort();
@@ -918,11 +1049,23 @@ pub fn typestate_gate(findings: &[TsFinding]) -> Result<String, String> {
 mod tests {
     use super::*;
 
+    /// Findings of the five path-sensitive rules. Their minimal inputs
+    /// discard put outcomes and never re-arm, which the discard and
+    /// file-level rules report on their own (tested below).
     fn rules_of(src: &str) -> Vec<&'static str> {
         analyze_source("test.rs", src)
             .iter()
             .map(|f| f.rule)
+            .filter(|r| TS_RULES[..5].contains(r))
             .collect()
+    }
+
+    /// How many findings of `rule` the source draws.
+    fn hits(src: &str, rule: &str) -> usize {
+        analyze_source("test.rs", src)
+            .iter()
+            .filter(|f| f.rule == rule)
+            .count()
     }
 
     #[test]
@@ -1089,5 +1232,150 @@ impl P {
 }
 "#;
         assert!(rules_of(src).is_empty());
+    }
+
+    // ---- lifecycle rules ---------------------------------------------------
+    // Free functions, like the handlers of a chare, are analysed too.
+
+    #[test]
+    fn put_without_ready_fires_and_ready_silences() {
+        let bad = "fn iterate(ctx: &mut Ctx) {\n    ctx.direct_put(h).unwrap();\n}\n";
+        assert_eq!(hits(bad, "put-without-ready"), 1);
+        let good = "fn iterate(ctx: &mut Ctx) {\n    ctx.direct_put(h).unwrap();\n}\n\
+                    fn direct_callback(ctx: &mut Ctx) {\n    ctx.direct_ready(h).unwrap();\n}\n";
+        assert_eq!(hits(good, "put-without-ready"), 0);
+    }
+
+    #[test]
+    fn pollq_without_mark() {
+        let bad = "fn go(ctx: &mut Ctx) {\n    ctx.direct_ready_poll_q(h).unwrap();\n}\n";
+        assert_eq!(hits(bad, "pollq-without-mark"), 1);
+        let good = "fn a(ctx: &mut Ctx) {\n    ctx.direct_ready_mark(h).unwrap();\n}\n\
+                    fn b(ctx: &mut Ctx) {\n    ctx.direct_ready_poll_q(h).unwrap();\n}\n";
+        assert_eq!(hits(good, "pollq-without-mark"), 0);
+    }
+
+    #[test]
+    fn recv_read_in_a_free_function_needs_a_callback() {
+        let bad = "fn on_iter(ctx: &mut Ctx) {\n    let r = ctx.direct_recv_region(h);\n    \
+                   ctx.direct_ready(h).ok_or(0);\n}\n";
+        assert_eq!(hits(bad, "read-outside-callback"), 1);
+        let good = "fn direct_callback(ctx: &mut Ctx, h: H) {\n    \
+                    let r = ctx.direct_recv_region(h);\n    ctx.direct_ready(h).unwrap();\n}\n";
+        assert_eq!(hits(good, "read-outside-callback"), 0);
+    }
+
+    #[test]
+    fn double_put_on_one_handle_is_flagged_even_across_a_ready() {
+        let bad = "fn send(ctx: &mut Ctx) {\n    ctx.direct_put(self.h).unwrap();\n    \
+                   ctx.direct_put(self.h).unwrap();\n    ctx.direct_ready(self.h).unwrap();\n}\n";
+        assert_eq!(hits(bad, "double-put-in-flight"), 1);
+        let different = "fn send(ctx: &mut Ctx) {\n    ctx.direct_put(self.left).unwrap();\n    \
+                         ctx.direct_put(self.right).unwrap();\n    \
+                         ctx.direct_ready(self.left).unwrap();\n}\n";
+        assert_eq!(hits(different, "double-put-in-flight"), 0);
+        // `ready` is the receiver's re-arm: it cannot complete a put still
+        // in flight within the same handler, so the second put is refused
+        // (PutInFlight) all the same
+        let ready_between = "fn send(ctx: &mut Ctx) {\n    ctx.direct_put(self.h).unwrap();\n    \
+                             ctx.direct_ready(self.h).unwrap();\n    \
+                             ctx.direct_put(self.h).unwrap();\n}\n";
+        assert_eq!(hits(ready_between, "double-put-in-flight"), 1);
+    }
+
+    #[test]
+    fn swallowed_errors_are_reported() {
+        let bad = "fn send(ctx: &mut Ctx) {\n    let _ = ctx.direct_put(h);\n    \
+                   ctx.direct_ready(h).unwrap();\n}\n";
+        assert_eq!(hits(bad, "swallowed-direct-error"), 1);
+        let bad2 = "fn send(ctx: &mut Ctx) {\n    ctx.direct_put(h).ok();\n    \
+                    ctx.direct_ready(h).unwrap();\n}\n";
+        assert_eq!(hits(bad2, "swallowed-direct-error"), 1);
+        let good =
+            "fn send(ctx: &mut Ctx) {\n    let sent = ctx.direct_put(h).expect(\"put\");\n    \
+                    ctx.direct_ready(h).unwrap();\n}\n";
+        assert_eq!(hits(good, "swallowed-direct-error"), 0);
+        let allowed = "fn send(ctx: &mut Ctx) {\n    \
+                       // ckd-check: allow(swallowed-direct-error)\n    \
+                       let _ = ctx.direct_put(h);\n    ctx.direct_ready(h).unwrap();\n}\n";
+        assert_eq!(hits(allowed, "swallowed-direct-error"), 0);
+    }
+
+    #[test]
+    fn ignored_put_outcome_flags_bare_and_discarded_puts() {
+        let bare = "fn send(ctx: &mut Ctx) {\n    ctx.direct_put(h).expect(\"put\");\n    \
+                    ctx.direct_ready(h).unwrap();\n}\n";
+        assert_eq!(hits(bare, "ignored-put-outcome"), 1);
+        let discarded = "fn send(ctx: &mut Ctx) {\n    let _ = ctx.direct_put(h);\n    \
+                         ctx.direct_ready(h).unwrap();\n}\n";
+        assert_eq!(hits(discarded, "ignored-put-outcome"), 1);
+    }
+
+    #[test]
+    fn ignored_put_outcome_respects_consuming_heads() {
+        let bound =
+            "fn send(ctx: &mut Ctx) {\n    let outcome = ctx.direct_put(h).expect(\"put\");\n    \
+             use_it(outcome);\n    ctx.direct_ready(h).unwrap();\n}\n";
+        // rustfmt-wrapped chain: the consuming `match` sits lines above
+        let wrapped = "fn send(ctx: &mut Ctx) {\n    match ctx\n        .direct_put(h)\n        \
+                       .expect(\"put\")\n    {\n        _ => {}\n    }\n    \
+                       ctx.direct_ready(h).unwrap();\n}\n";
+        let asserted = "fn send(ctx: &mut Ctx) {\n    \
+                        assert_eq!(ctx.direct_put(h).unwrap(), PutOutcome::Sent);\n    \
+                        ctx.direct_ready(h).unwrap();\n}\n";
+        let allowed =
+            "fn send(ctx: &mut Ctx) {\n    // ckd-check: allow(ignored-put-outcome)\n    \
+                       ctx.direct_put(h).expect(\"put\");\n    ctx.direct_ready(h).unwrap();\n}\n";
+        for good in [bound, wrapped, asserted, allowed] {
+            assert_eq!(hits(good, "ignored-put-outcome"), 0, "{good}");
+        }
+    }
+
+    #[test]
+    fn destroyed_handle_use_is_flagged_per_path() {
+        let bad = "fn teardown(ctx: &mut Ctx) {\n    ctx.direct_destroy(self.h).unwrap();\n    \
+                   ctx.direct_put(self.h).unwrap();\n    ctx.direct_ready(self.h).unwrap();\n}\n";
+        assert_eq!(hits(bad, "destroyed-handle-use"), 2);
+        // a different handle after the destroy
+        let other =
+            "fn teardown(ctx: &mut Ctx) {\n    ctx.direct_destroy(self.old).unwrap();\n    \
+                     ctx.direct_put(self.live).unwrap();\n    \
+                     ctx.direct_ready(self.live).unwrap();\n}\n";
+        // destroy last (the chanstorm teardown shape)
+        let last = "fn teardown(ctx: &mut Ctx) {\n    ctx.direct_ready(self.h).unwrap();\n    \
+                    ctx.direct_destroy(self.h).unwrap();\n}\n";
+        // the scan is per function: a later fn is a fresh body
+        let split = "fn a(ctx: &mut Ctx) {\n    ctx.direct_destroy(self.h).unwrap();\n}\n\
+                     fn b(ctx: &mut Ctx) {\n    ctx.direct_ready(self.h).unwrap();\n}\n";
+        // and per path: a sibling arm never sees the destroy
+        let sibling = "fn step(ctx: &mut Ctx) {\n    if done {\n        \
+                       ctx.direct_destroy(self.h).unwrap();\n    } else {\n        \
+                       ctx.direct_ready(self.h).unwrap();\n    }\n}\n";
+        let allowed =
+            "fn teardown(ctx: &mut Ctx) {\n    ctx.direct_destroy(self.h).unwrap();\n    \
+                       // ckd-check: allow(destroyed-handle-use)\n    \
+                       ctx.direct_ready(self.h).unwrap();\n}\n";
+        for good in [other, last, split, sibling, allowed] {
+            assert_eq!(hits(good, "destroyed-handle-use"), 0, "{good}");
+        }
+    }
+
+    #[test]
+    fn commented_and_quoted_calls_do_not_count() {
+        let src = "fn send(ctx: &mut Ctx) {\n    // ctx.direct_put(h).unwrap();\n    \
+                   log(\"ctx.direct_put(h)\");\n}\n";
+        assert!(analyze_source("test.rs", src).is_empty());
+    }
+
+    #[test]
+    fn a_missing_path_is_an_error_not_a_clean_scan() {
+        assert!(analyze_paths(&["no/such/dir".to_owned()]).is_err());
+    }
+
+    #[test]
+    fn findings_render_with_location() {
+        let src = "fn go(ctx: &mut Ctx) {\n    ctx.direct_ready_poll_q(h).unwrap();\n}\n";
+        let f = &analyze_source("test.rs", src)[0];
+        assert!(f.render().starts_with("test.rs:2: [pollq-without-mark]"));
     }
 }

@@ -55,7 +55,11 @@ fn certificate_of_a_real_exploration_validates() {
 
 #[test]
 fn typestate_flags_exactly_the_racy_mutants_in_the_apps_tree() {
-    let apps_src = format!("{}/../apps/src", env!("CARGO_MANIFEST_DIR"));
-    let findings = typestate::analyze_paths(&[apps_src]).expect("scan apps");
+    let root = env!("CARGO_MANIFEST_DIR");
+    let paths = [
+        format!("{root}/../apps/src"),
+        format!("{root}/../../examples"),
+    ];
+    let findings = typestate::analyze_paths(&paths).expect("scan apps and examples");
     typestate::typestate_gate(&findings).expect("gate holds");
 }

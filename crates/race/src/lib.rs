@@ -1,5 +1,4 @@
-//! **ckd-race** — a happens-before sanitizer and protocol-lifecycle lint
-//! for the CkDirect layer.
+//! **ckd-race** — a happens-before sanitizer for the CkDirect layer.
 //!
 //! CkDirect's premise is that "the application's own iteration structure is
 //! the only synchronization": a put lands directly in the receiver's buffer
@@ -9,18 +8,17 @@
 //! advantages of the simulated runtime: deterministic virtual time and full
 //! event visibility.
 //!
-//! * [`Sanitizer`] — the dynamic half. Per-PE [`VectorClock`]s advance at
-//!   every scheduler event and join along every happens-before edge the
-//!   runtime models (message delivery, reduction/broadcast trees, put
-//!   completion); a per-handle state machine fed by the registry's
-//!   lifecycle probe flags overwrites, early reads, double puts, skipped
-//!   re-arms, and — via the clocks — puts that *happened* to work but were
-//!   causally unsynchronized. Enabled with `Machine::builder(net).with_sanitizer(..)`;
-//!   a disabled sanitizer is one branch per hook.
-//! * [`lint`] — the static half: a std-only source scanner for lifecycle
-//!   misuse patterns (`direct_put` with no reachable `direct_ready`,
-//!   `direct_recv_region` outside a completion callback, …), runnable
-//!   offline via the `lint_direct` binary.
+//! [`Sanitizer`] is the dynamic checker: per-PE [`VectorClock`]s advance at
+//! every scheduler event and join along every happens-before edge the
+//! runtime models (message delivery, reduction/broadcast trees, put
+//! completion); a per-handle state machine fed by the registry's lifecycle
+//! probe flags overwrites, early reads, double puts, skipped re-arms, and —
+//! via the clocks — puts that *happened* to work but were causally
+//! unsynchronized. Enabled with `Machine::builder(net).with_sanitizer(..)`;
+//! a disabled sanitizer is one branch per hook.
+//!
+//! The static counterpart, which flags lifecycle misuse in source without
+//! running it, is the typestate pass of `ckd-check` (`ckd-check lint`).
 //!
 //! Every [`Diagnostic`] names the two racing events with their PEs and
 //! virtual times plus the missing happens-before edge, phrased as the fix.
@@ -28,11 +26,9 @@
 pub mod clock;
 pub mod diag;
 pub mod independence;
-pub mod lint;
 pub mod sanitizer;
 
 pub use clock::VectorClock;
 pub use diag::{Diagnostic, EventRef, RaceKind};
 pub use independence::{commutes, Footprint};
-pub use lint::{lint_file, lint_paths, lint_source, LintFinding, RULES};
 pub use sanitizer::{DirectOp, SanCore, Sanitizer, SanitizerConfig};

@@ -28,5 +28,5 @@ pub use events::{EventMeta, EventQueue, IdentityPolicy, ReorderPolicy};
 pub use fault::{FaultAction, FaultCounts, FaultKind, FaultOp, FaultPlan, FaultProbs, Link};
 pub use pdes::{Lookahead, PdesStats, ShardMap, ShardedEngine};
 pub use rng::DetRng;
-pub use stats::{Histogram, OnlineStats, Sampler};
+pub use stats::{OnlineStats, Sampler};
 pub use time::Time;

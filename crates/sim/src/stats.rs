@@ -1,9 +1,8 @@
 //! Online statistics used by the benchmark harnesses.
 //!
-//! Three flavors:
+//! Two flavors:
 //! * [`OnlineStats`] — Welford mean/variance plus min/max, O(1) memory.
 //! * [`Sampler`] — stores samples for exact percentiles (bounded runs only).
-//! * [`Histogram`] — power-of-two bucketed counts for distribution shape.
 
 use crate::time::Time;
 
@@ -168,56 +167,6 @@ impl Sampler {
     }
 }
 
-/// Power-of-two bucketed histogram over `u64` magnitudes (bytes, ns, counts).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 65],
-    total: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// Empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: [0; 65],
-            total: 0,
-        }
-    }
-
-    /// Record a value; bucket `k` holds values whose bit-length is `k`
-    /// (bucket 0 holds zeros).
-    pub fn record(&mut self, v: u64) {
-        let b = (64 - v.leading_zeros()) as usize;
-        self.buckets[b] += 1;
-        self.total += 1;
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Count in the bucket covering `v`.
-    pub fn bucket_for(&self, v: u64) -> u64 {
-        self.buckets[(64 - v.leading_zeros()) as usize]
-    }
-
-    /// Iterate `(bucket_lower_bound, count)` over non-empty buckets.
-    pub fn iter_nonempty(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(k, &c)| (if k == 0 { 0 } else { 1u64 << (k - 1) }, c))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,23 +237,5 @@ mod tests {
         assert_eq!(s.percentile(1.0), 100.0);
         assert!((s.median() - 50.0).abs() <= 1.0);
         assert_eq!(s.count(), 100);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.bucket_for(0), 1);
-        assert_eq!(h.bucket_for(1), 1);
-        assert_eq!(h.bucket_for(2), 2); // 2 and 3 share the [2,4) bucket
-        assert_eq!(h.bucket_for(1024), 1);
-        let nonempty: Vec<_> = h.iter_nonempty().collect();
-        assert_eq!(nonempty.len(), 4);
-        assert_eq!(nonempty[0], (0, 1));
     }
 }

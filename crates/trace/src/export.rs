@@ -9,9 +9,10 @@
 
 use std::fmt::Write as _;
 
-use ckd_sim::{Histogram, Time};
+use ckd_sim::Time;
 
 use crate::event::{ProtoClass, TraceEvent};
+use crate::hist::Hist;
 use crate::tracer::Tracer;
 
 /// Format picoseconds as the microsecond value Chrome expects, exactly
@@ -245,7 +246,7 @@ pub fn chrome_trace_json(tracer: &Tracer) -> Option<String> {
     Some(out)
 }
 
-fn histogram_line(h: &Histogram) -> String {
+fn histogram_line(h: &Hist) -> String {
     if h.count() == 0 {
         return "(empty)".to_string();
     }
@@ -306,11 +307,7 @@ pub fn text_summary(tracer: &Tracer) -> Option<String> {
 
     let _ = writeln!(out, "-- ckdirect puts --");
     let n = m.put_to_callback_ns.count();
-    let mean_us = if n == 0 {
-        0.0
-    } else {
-        m.put_lat_sum_ns as f64 / n as f64 / 1_000.0
-    };
+    let mean_us = m.put_to_callback_ns.mean() / 1_000.0;
     let _ = writeln!(
         out,
         "issue→callback completions: {n}   mean latency: {mean_us:.3} us"

@@ -1,12 +1,12 @@
-//! A mergeable log2-bucket histogram for the self-profiler.
+//! The mergeable log2-bucket histogram behind the tracer's metrics and the
+//! self-profiler.
 //!
-//! Same bucketing as `ckd_sim::Histogram` — bucket `k` holds values whose
-//! bit-length is `k`, so bucket 0 is exactly zero and bucket `k > 0` spans
-//! `[2^(k-1), 2^k)` — but extended with the pieces sharded profiling
-//! needs: a running sum and maximum, [`Hist::merge`] so per-worker shards
-//! aggregate without losing shape, and a deterministic text rendering.
-//! Everything is fixed-size integer state, so two identical runs produce
-//! bit-identical histograms and equality is exact.
+//! Bucket `k` holds values whose bit-length is `k`, so bucket 0 is exactly
+//! zero and bucket `k > 0` spans `[2^(k-1), 2^k)`. Alongside the counts it
+//! keeps a running sum and maximum, [`Hist::merge`] folds per-worker
+//! shards without losing shape, and [`Hist::render`] is a deterministic
+//! text rendering. Everything is fixed-size integer state, so two
+//! identical runs produce bit-identical histograms and equality is exact.
 
 /// Number of buckets: one per possible bit-length of a `u64`, plus zero.
 const BUCKETS: usize = 65;

@@ -10,9 +10,9 @@
 //!   (message send/deliver, put issue/land, callback fire, poll sweeps,
 //!   rendezvous RTS/CTS, reductions, PE busy spans, queue-depth samples),
 //!   buffered per PE in bounded [`EventRing`]s with drop counters.
-//! * [`Metrics`] — per-protocol and per-channel counters plus latency
-//!   histograms (reusing `ckd_sim`'s [`Histogram`]), including the
-//!   put-issue→callback latency that one-sided systems make so hard to see.
+//! * [`Metrics`] — per-protocol and per-channel counters plus [`Hist`]
+//!   latency histograms, including the put-issue→callback latency that
+//!   one-sided systems make so hard to see.
 //! * Two exporters — [`chrome_trace_json`] (Perfetto-loadable, one track per
 //!   PE) and [`text_summary`] (per-protocol byte/count/latency breakdowns).
 //!
@@ -21,8 +21,9 @@
 //!
 //! * [`Profiler`] — a phase-scoped wall-clock self-profiler ([`Phase`],
 //!   [`PhaseStat`]) with mergeable per-worker [`ProfShard`]s,
-//! * [`Hist`] — mergeable log2-bucket histograms (put issue→callback
-//!   latency, poll batch size, event-queue depth),
+//! * [`Hist`] — the one mergeable log2-bucket histogram, shared with
+//!   [`Metrics`] (put issue→callback latency, poll batch size, event-queue
+//!   depth),
 //! * [`Snapshot`]/[`SnapshotStream`] — periodic JSONL metric snapshots
 //!   keyed by virtual time, checked by [`validate_snapshot_jsonl`].
 //!
@@ -31,8 +32,6 @@
 //! cost nothing measurable when tracing is off. The [`Profiler`] follows
 //! the same discipline. All virtual-time output is deterministic: two
 //! identical runs export byte-identical traces and snapshot streams.
-//!
-//! [`Histogram`]: ckd_sim::Histogram
 
 mod event;
 mod export;

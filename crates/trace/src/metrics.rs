@@ -7,9 +7,10 @@
 
 use std::collections::BTreeMap;
 
-use ckd_sim::{Histogram, Time};
+use ckd_sim::Time;
 
 use crate::event::ProtoClass;
+use crate::hist::Hist;
 
 /// Count / byte / latency triple for one protocol class.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -19,19 +20,13 @@ pub struct ProtoStat {
     /// Payload bytes moved by this protocol.
     pub bytes: u64,
     /// Modeled end-to-end delay per transfer, in nanoseconds.
-    pub latency_ns: Histogram,
-    /// Sum of modeled delays in nanoseconds (for mean computation).
-    pub latency_sum_ns: u64,
+    pub latency_ns: Hist,
 }
 
 impl ProtoStat {
     /// Mean modeled delay in nanoseconds; 0 when no transfers were seen.
     pub fn mean_latency_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.latency_sum_ns as f64 / self.count as f64
-        }
+        self.latency_ns.mean()
     }
 }
 
@@ -45,20 +40,13 @@ pub struct ChannelStat {
     /// Payload bytes put through this channel.
     pub bytes: u64,
     /// Put-issue → callback-fire latency, in nanoseconds.
-    pub put_to_callback_ns: Histogram,
-    /// Sum of issue→callback latencies in nanoseconds.
-    pub put_lat_sum_ns: u64,
+    pub put_to_callback_ns: Hist,
 }
 
 impl ChannelStat {
     /// Mean issue→callback latency in nanoseconds; 0 without completions.
     pub fn mean_put_latency_ns(&self) -> f64 {
-        let n = self.put_to_callback_ns.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.put_lat_sum_ns as f64 / n as f64
-        }
+        self.put_to_callback_ns.mean()
     }
 }
 
@@ -68,15 +56,13 @@ pub struct Metrics {
     /// Per-protocol transfer stats, indexed by [`ProtoClass::index`].
     pub proto: [ProtoStat; ProtoClass::COUNT],
     /// Put-issue → callback-fire latency across all channels (ns).
-    pub put_to_callback_ns: Histogram,
-    /// Sum of issue→callback latencies across all channels (ns).
-    pub put_lat_sum_ns: u64,
+    pub put_to_callback_ns: Hist,
     /// Handles examined per polling sweep.
-    pub poll_checked: Histogram,
+    pub poll_checked: Hist,
     /// Handles delivered per polling sweep (poll-window occupancy).
-    pub poll_delivered: Histogram,
+    pub poll_delivered: Hist,
     /// Scheduler queue depth sampled at event boundaries.
-    pub queue_depth: Histogram,
+    pub queue_depth: Hist,
     /// Per-channel stats keyed by handle id (sorted, deterministic).
     pub channels: BTreeMap<u32, ChannelStat>,
     /// Rendezvous RTS packets observed.
@@ -93,7 +79,7 @@ pub struct Metrics {
     pub retries: u64,
     /// Backoff armed per retransmission, in nanoseconds (exponential
     /// schedule shows up as a geometric ladder across buckets).
-    pub backoff_ns: Histogram,
+    pub backoff_ns: Hist,
 }
 
 impl Metrics {
@@ -110,7 +96,6 @@ impl Metrics {
         s.bytes += bytes;
         let ns = delay.as_ps() / 1_000;
         s.latency_ns.record(ns);
-        s.latency_sum_ns += ns;
     }
 
     /// Record a put-issue → callback latency for `handle`.
@@ -118,10 +103,11 @@ impl Metrics {
     pub fn record_put_latency(&mut self, handle: u32, delay: Time) {
         let ns = delay.as_ps() / 1_000;
         self.put_to_callback_ns.record(ns);
-        self.put_lat_sum_ns += ns;
-        let ch = self.channels.entry(handle).or_default();
-        ch.put_to_callback_ns.record(ns);
-        ch.put_lat_sum_ns += ns;
+        self.channels
+            .entry(handle)
+            .or_default()
+            .put_to_callback_ns
+            .record(ns);
     }
 
     /// Stats row for one protocol class.

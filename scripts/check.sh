@@ -53,13 +53,6 @@ else
     echo "==> cargo clippy not installed; skipping lints"
 fi
 
-# CkDirect lifecycle lint: a std-only static pass over the application and
-# example sources (put-without-ready, reads outside callbacks, swallowed
-# direct errors, ...). Deliberate misuse in the mutant suite is annotated
-# with `ckd-lint: allow(...)` markers, so a clean run is expected.
-run cargo run --release --offline -q -p ckd-race --bin lint_direct -- \
-    crates/apps/src examples
-
 # Racy-mutant suite: every deliberately-broken app must be *caught* by the
 # happens-before sanitizer, and the correct apps must stay clean.
 run cargo test --release --offline -q -p ckd-apps mutants
@@ -113,10 +106,9 @@ run ./target/release/ckd-sweep profile --workers 2
 
 # Schedule-space model checker: the four paper apps must certify as
 # order-independent (with the DPOR pruning ratio gated at >= 2x inside the
-# binary), the emitted certificate must validate, the schedule-dependent
-# mutant — clean under the canonical schedule — must be caught with a
-# replayable counterexample, and the typestate pass must flag exactly the
-# racy mutants while every correct app stays clean.
+# binary), the emitted certificate must validate, and the
+# schedule-dependent mutant — clean under the canonical schedule — must be
+# caught with a replayable counterexample.
 run ./target/release/ckd-check certify --budget 48 --out target/ckd-check-cert.json
 run ./target/release/ckd-check validate target/ckd-check-cert.json
 # ...and again over the PDES safe window: exploring schedules within the
@@ -128,6 +120,13 @@ run ./target/release/ckd-check certify --window-ns 4550 --budget 48 \
     --out target/ckd-check-pdes-cert.json
 run ./target/release/ckd-check validate target/ckd-check-pdes-cert.json
 run ./target/release/ckd-check mutant --budget 16
-run ./target/release/ckd-check lint --gate crates/apps/src
+
+# Static lifecycle check: the typestate pass over the application and
+# example sources (double puts, reads outside callbacks, skipped re-arms,
+# use after destroy, dropped put outcomes, swallowed direct errors, ...)
+# must flag all three racy mutants and nothing outside mutants.rs. The
+# mutants' deliberately discarded puts carry `ckd-check: allow(...)`
+# markers; their races carry none.
+run ./target/release/ckd-check lint --gate crates/apps/src examples
 
 echo "All checks passed."

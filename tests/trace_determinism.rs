@@ -61,7 +61,8 @@ fn identical_runs_export_identical_bytes() {
         assert_eq!(sa.count, sb.count, "{class:?} count");
         assert_eq!(sa.bytes, sb.bytes, "{class:?} bytes");
         assert_eq!(
-            sa.latency_sum_ns, sb.latency_sum_ns,
+            sa.latency_ns.sum(),
+            sb.latency_ns.sum(),
             "{class:?} latency sum"
         );
     }
