@@ -123,9 +123,11 @@ impl MachineBuilder {
     }
 
     /// [`MachineBuilder::with_faults`] with an explicit retransmission
-    /// policy and degradation threshold (`degrade_after` cumulative
-    /// retransmits flip a channel's puts to rendezvous timing; `u32::MAX`
-    /// never degrades, `0` degrades every channel up front).
+    /// policy and degradation threshold: the retransmit that brings a
+    /// channel's cumulative count to `degrade_after` flips its later puts
+    /// to rendezvous timing. Only a retransmit degrades, so `0` and `1`
+    /// both degrade a channel at its first retransmit; `u32::MAX` never
+    /// degrades.
     pub fn with_faults_policy(
         mut self,
         plan: FaultPlan,

@@ -370,18 +370,12 @@ impl<'a> Ctx<'a> {
             .direct
             .put(handle, self.pe)
             .map_err(|e| self.san_fail(now, handle, DirectOp::Put, e))?;
-        let degraded = self
+        let (retries, degraded) = self
             .m
             .stack
             .rel
             .as_ref()
-            .is_some_and(|r| r.is_degraded(handle));
-        let retries = self
-            .m
-            .stack
-            .rel
-            .as_ref()
-            .map_or(0, |r| r.retries_of(handle));
+            .map_or((0, false), |r| r.health_of(handle));
         let (outcome, t, proto) = if degraded {
             self.m.stats.rel.degraded_puts += 1;
             let (t, proto) = self.m.net.two_sided(req.src, req.dst, req.bytes, 0, true);

@@ -61,10 +61,9 @@ impl Machine {
                 token,
                 link,
                 seq,
-                kind,
                 corrupted,
-                inner,
-            } => self.rel_deliver(token, link, seq, kind, corrupted, *inner),
+                handle,
+            } => self.rel_deliver(token, link, seq, corrupted, handle),
             Ev::RelAck { token, .. } => self.rel_ack(token),
             Ev::RelTimer { token, attempt, .. } => self.rel_timer(token, attempt),
         }

@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 
 use ckd_net::{NetModel, Protocol, RelStats, RetryPolicy};
 use ckd_race::{Footprint, Sanitizer, SanitizerConfig};
-use ckd_sim::{EventQueue, FaultCounts, FaultOp, FaultPlan, ReorderPolicy, Time};
+use ckd_sim::{EventQueue, FaultCounts, FaultPlan, ReorderPolicy, Time};
 use ckd_topo::{Dims, Idx, Mapper, Pe};
 use ckd_trace::{Phase, ProfConfig, Profiler, ProtoClass, Snapshot, TraceConfig, Tracer};
 use ckdirect::{DirectConfig, DirectRegistry, HandleId, RegistryCounters};
@@ -66,7 +66,6 @@ pub enum CbKind {
     Learned(EntryId),
 }
 
-#[derive(Clone)]
 pub(crate) enum Ev {
     /// A two-sided message finished arriving at `pe`.
     MsgArrive {
@@ -120,17 +119,18 @@ pub(crate) enum Ev {
         /// Sanitizer happens-before edge token (0 when disabled).
         edge: u64,
     },
-    /// Fault-plane arrival of a reliable packet: carries the real delivery
-    /// event (`inner`) plus the protocol header the receiver checks. Fresh
-    /// and intact ⇒ dispatch `inner` at this very instant (identical timing
-    /// to the unfaulted run); corrupted or duplicated ⇒ discard.
+    /// Fault-plane arrival of a reliable packet: the protocol header alone.
+    /// The delivery event stays in the sender's pending entry under
+    /// `token`. Fresh and intact ⇒ move it out and dispatch it at this very
+    /// instant (identical timing to the unfaulted run); corrupted or
+    /// duplicated ⇒ discard. `handle` is the channel of a one-sided put,
+    /// `None` for a message.
     RelDeliver {
         token: u64,
         link: (u32, u32),
         seq: u64,
-        kind: FaultOp,
         corrupted: bool,
-        inner: Box<Ev>,
+        handle: Option<HandleId>,
     },
     /// A reliability ack reached the sender: retire the pending packet.
     /// Charges no PE time and emits no trace record — pure NIC protocol.
@@ -510,6 +510,7 @@ impl Machine {
             self.stats.events += 1;
             self.dispatch(ev);
         }
+        self.debug_assert_quiescent();
         self.stack.epilogue(&self.stats);
         self.now
     }
@@ -539,6 +540,7 @@ impl Machine {
             }
         }
         self.prof.add_host_ns(loop_t0.elapsed().as_nanos() as u64);
+        self.debug_assert_quiescent();
         self.stack.epilogue(&self.stats);
         self.now
     }

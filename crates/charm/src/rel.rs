@@ -5,15 +5,17 @@
 //! of being scheduled directly:
 //!
 //! * the sender records a **pending entry** (the delivery event, its link,
-//!   its sequence number) and submits the packet to the
-//!   [`FaultPlan`](ckd_sim::FaultPlan), which may deliver, drop, corrupt,
-//!   duplicate, or delay it;
+//!   its sequence number) in a ring indexed by packet token and submits a
+//!   header-only packet to the [`FaultPlan`](ckd_sim::FaultPlan), which
+//!   may deliver, drop, corrupt, duplicate, or delay it;
 //! * the receiver acks every intact arrival (acks traverse the fault plane
 //!   too), dedups by sequence number — [`ckd_net::LinkSeqs`] for messages,
 //!   [`DirectRegistry::accept_landing`](ckdirect::DirectRegistry::accept_landing)
 //!   for puts — and detects corruption (link CRC for messages, the per-put
 //!   CRC folded into the sentinel word for one-sided puts), discarding the
-//!   damaged landing so the channel stays armed for the retransmission;
+//!   damaged landing so the channel stays armed for the retransmission; the
+//!   fresh arrival moves the delivery event out of the sender's entry and
+//!   dispatches it, so no copy of it ever crosses the wire;
 //! * an unacked packet's timer fires with exponential backoff
 //!   ([`ckd_net::RetryPolicy`]) and the sender retransmits — *without*
 //!   re-running the application-visible issue path, so a put is counted
@@ -28,7 +30,7 @@
 //! With faults never enabled the machine holds `rel: None` and every hook
 //! is one branch — runs are bit-identical to the pre-fault-plane runtime.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, VecDeque};
 
 use ckd_net::{LinkSeqs, RetryPolicy};
 use ckd_sim::{FaultAction, FaultOp, FaultPlan, Time};
@@ -39,8 +41,10 @@ use crate::machine::{Ev, Machine};
 
 /// One unacked packet, owned by the (conceptual) sender NIC.
 pub(crate) struct Pending {
-    /// The delivery event to (re)schedule; replayed verbatim on retransmit.
-    pub ev: Ev,
+    /// The delivery event, moved out by the packet's fresh arrival (see
+    /// [`Machine::rel_deliver`]); `None` once delivered, while the ack is
+    /// still outstanding.
+    pub ev: Option<Ev>,
     /// Directed link `(from, to)` the packet travels.
     pub link: (u32, u32),
     /// Sequence number on the wire (per-link for messages, per-channel for
@@ -57,25 +61,79 @@ pub(crate) struct Pending {
     pub handle: Option<HandleId>,
 }
 
+/// Unacked packets keyed by token. Tokens are allocated monotonically, so
+/// the table is a ring indexed by `token - base`: the slot of an acked
+/// packet empties, and the head advances past every empty slot. A packet
+/// held at the head (say, by repeated drops) only keeps the ring long;
+/// later tokens stay one index away.
+pub(crate) struct PendingRing<T> {
+    /// Token of `slots[0]`; every token below it has been acked.
+    base: u64,
+    slots: VecDeque<Option<T>>,
+}
+
+impl<T> PendingRing<T> {
+    pub(crate) fn new() -> Self {
+        PendingRing {
+            base: 0,
+            slots: VecDeque::new(),
+        }
+    }
+
+    /// Record a new packet under the next token.
+    pub(crate) fn push(&mut self, p: T) -> u64 {
+        self.slots.push_back(Some(p));
+        self.base + self.slots.len() as u64 - 1
+    }
+
+    fn index(&self, token: u64) -> Option<usize> {
+        token.checked_sub(self.base).map(|i| i as usize)
+    }
+
+    pub(crate) fn get(&self, token: u64) -> Option<&T> {
+        self.slots.get(self.index(token)?)?.as_ref()
+    }
+
+    pub(crate) fn get_mut(&mut self, token: u64) -> Option<&mut T> {
+        let i = self.index(token)?;
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    /// Retire `token`, returning its entry; `None` for a duplicate or
+    /// stale token (already acked, or below the head).
+    pub(crate) fn ack(&mut self, token: u64) -> Option<T> {
+        let i = self.index(token)?;
+        let p = self.slots.get_mut(i)?.take()?;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(p)
+    }
+
+    /// Whether every packet has been acked.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+}
+
 /// All reliability state of a machine with fault injection enabled.
 pub(crate) struct ReliableLayer {
     /// The fault schedule packets are submitted to.
     pub plan: FaultPlan,
     /// Retransmission backoff policy.
     pub policy: RetryPolicy,
-    /// Cumulative retransmits on one channel before it degrades to
-    /// rendezvous timing. `u32::MAX` disables degradation.
+    /// Cumulative retransmits on one channel at which it degrades to
+    /// rendezvous timing (at least 1: only a retransmit degrades).
+    /// `u32::MAX` disables degradation.
     pub degrade_after: u32,
-    /// Unacked packets by token.
-    pub pending: BTreeMap<u64, Pending>,
-    /// Next packet token.
-    pub next_token: u64,
+    /// Unacked packets.
+    pub pending: PendingRing<Pending>,
     /// Message-path sequence numbers + receiver dedup.
     pub seqs: LinkSeqs,
-    /// Cumulative retransmits per channel handle.
+    /// Cumulative retransmits per channel handle. A channel is degraded
+    /// iff its count has reached `degrade_after`.
     pub handle_retries: BTreeMap<u32, u32>,
-    /// Channels degraded to rendezvous timing.
-    pub degraded: BTreeSet<u32>,
 }
 
 impl ReliableLayer {
@@ -83,23 +141,18 @@ impl ReliableLayer {
         ReliableLayer {
             plan,
             policy,
-            degrade_after,
-            pending: BTreeMap::new(),
-            next_token: 0,
+            degrade_after: degrade_after.max(1),
+            pending: PendingRing::new(),
             seqs: LinkSeqs::new(),
             handle_retries: BTreeMap::new(),
-            degraded: BTreeSet::new(),
         }
     }
 
-    /// Cumulative retransmits charged to `handle` so far.
-    pub(crate) fn retries_of(&self, handle: HandleId) -> u32 {
-        self.handle_retries.get(&handle.0).copied().unwrap_or(0)
-    }
-
-    /// Whether `handle` has degraded to rendezvous timing.
-    pub(crate) fn is_degraded(&self, handle: HandleId) -> bool {
-        self.degraded.contains(&handle.0)
+    /// Cumulative retransmits charged to `handle` so far, and whether
+    /// they have degraded it to rendezvous timing.
+    pub(crate) fn health_of(&self, handle: HandleId) -> (u32, bool) {
+        let retries = self.handle_retries.get(&handle.0).copied().unwrap_or(0);
+        (retries, retries >= self.degrade_after)
     }
 }
 
@@ -110,6 +163,17 @@ impl ReliableLayer {
 // telemetry, emitted here directly).
 
 impl Machine {
+    /// Quiescence invariant, checked where a run returns: if the event
+    /// queue drained, every reliable packet was acked. A pending packet
+    /// always owns a live retransmission timer, so it keeps the queue
+    /// non-empty until its ack retires it.
+    pub(crate) fn debug_assert_quiescent(&self) {
+        debug_assert!(
+            self.queue_depth() > 0 || self.stack.rel.as_ref().is_none_or(|r| r.pending.is_empty()),
+            "event queue drained with unacked reliable packets"
+        );
+    }
+
     /// Schedule a remote delivery event, routing it through the fault plane
     /// when faults are enabled. `begin` is the issue instant on the sender
     /// and `delay` the one-way wire latency: an unfaulted packet delivers at
@@ -131,65 +195,60 @@ impl Machine {
             return;
         }
         let rel = self.stack.rel.as_mut().expect("checked above");
-        let token = rel.next_token;
-        rel.next_token += 1;
         let seq = match put {
             Some((_, s)) => s,
             None => rel.seqs.alloc(link),
         };
-        rel.pending.insert(
-            token,
-            Pending {
-                ev,
-                link,
-                seq,
-                attempt: 0,
-                wire_delay: delay,
-                kind,
-                handle: put.map(|(h, _)| h),
-            },
-        );
+        let token = rel.pending.push(Pending {
+            ev: Some(ev),
+            link,
+            seq,
+            attempt: 0,
+            wire_delay: delay,
+            kind,
+            handle: put.map(|(h, _)| h),
+        });
         self.rel_transmit(token, begin);
     }
 
     /// Submit pending packet `token` to the fault plane at `at`, schedule
-    /// the consequences, and arm its retransmission timer.
+    /// the consequences, and arm its retransmission timer. Every copy on
+    /// the wire is the protocol header alone; the delivery event stays in
+    /// the sender's entry.
     fn rel_transmit(&mut self, token: u64, at: Time) {
         let rel = self.stack.rel.as_mut().expect("rel enabled");
-        let Some(p) = rel.pending.get(&token) else {
+        let Some(p) = rel.pending.get(token) else {
             return; // acked in the meantime
         };
-        let (link, kind, seq, wire_delay, attempt) =
-            (p.link, p.kind, p.seq, p.wire_delay, p.attempt);
-        let ev = p.ev.clone();
+        let (link, kind, seq, wire_delay, attempt, handle) =
+            (p.link, p.kind, p.seq, p.wire_delay, p.attempt, p.handle);
         let action = rel.plan.decide(at, link, kind);
         let timeout = rel.policy.timeout(attempt);
-        let mk = |inner: Ev, corrupted: bool| Ev::RelDeliver {
+        let mk = |corrupted: bool| Ev::RelDeliver {
             token,
             link,
             seq,
-            kind,
             corrupted,
-            inner: Box::new(inner),
+            handle,
         };
         match action {
-            FaultAction::Deliver => self.push_ev(at + wire_delay, mk(ev, false)),
+            FaultAction::Deliver => self.push_ev(at + wire_delay, mk(false)),
             FaultAction::Drop => {
                 self.stats.rel.drops_injected += 1;
                 self.stack.tracer.rel_drop(link.0 as usize, at, link.1);
             }
             FaultAction::Corrupt => {
                 self.stats.rel.corrupts_injected += 1;
-                self.push_ev(at + wire_delay, mk(ev, true));
+                self.push_ev(at + wire_delay, mk(true));
             }
             FaultAction::Duplicate { extra } => {
                 self.stats.rel.dups_injected += 1;
-                self.push_ev(at + wire_delay, mk(ev.clone(), false));
-                self.push_ev(at + wire_delay + extra, mk(ev, false));
+                self.push_ev(at + wire_delay, mk(false));
+                self.push_ev(at + wire_delay + extra, mk(false));
             }
             FaultAction::Delay { extra } => {
                 self.stats.rel.delays_injected += 1;
-                self.push_ev(at + wire_delay + extra, mk(ev, false));
+                self.push_ev(at + wire_delay + extra, mk(false));
             }
         }
         self.push_ev(
@@ -204,14 +263,17 @@ impl Machine {
 
     /// A reliable packet arrived: verify, dedup, ack, and (when fresh and
     /// intact) dispatch the real delivery event at this very instant.
+    ///
+    /// A put's header names its channel (`handle`), which is all the
+    /// corrupt and duplicate paths need; only the fresh arrival touches
+    /// the sender's entry, to move the delivery event out.
     pub(crate) fn rel_deliver(
         &mut self,
         token: u64,
         link: (u32, u32),
         seq: u64,
-        kind: FaultOp,
         corrupted: bool,
-        inner: Ev,
+        handle: Option<HandleId>,
     ) {
         if corrupted {
             // Receiver-side detection — the NIC's link CRC for messages,
@@ -220,26 +282,14 @@ impl Machine {
             // sentinel stays armed), no ack is sent, and the sender's
             // timer will retransmit.
             self.stats.rel.corrupt_detected += 1;
-            if kind == FaultOp::Put {
-                if let Ev::DirectLand { handle, .. } = &inner {
-                    self.direct
-                        .corrupt_landing(*handle, seq)
-                        .expect("live channel");
-                }
+            if let Some(h) = handle {
+                self.direct.corrupt_landing(h, seq).expect("live channel");
             }
             return;
         }
-        let fresh = match kind {
-            FaultOp::Put => {
-                if let Ev::DirectLand { handle, .. } = &inner {
-                    self.direct
-                        .accept_landing(*handle, seq)
-                        .expect("live channel")
-                } else {
-                    true
-                }
-            }
-            _ => self
+        let fresh = match handle {
+            Some(h) => self.direct.accept_landing(h, seq).expect("live channel"),
+            None => self
                 .stack
                 .rel
                 .as_mut()
@@ -250,11 +300,25 @@ impl Machine {
         // Ack every intact arrival — a duplicate re-acks, in case the
         // original ack was the packet that died.
         self.rel_send_ack(token, link);
-        if fresh {
-            self.dispatch(inner);
-        } else {
+        if !fresh {
             self.stats.rel.dups_suppressed += 1;
+            return;
         }
+        // Invariant: a fresh arrival finds its entry with the event still
+        // in it. Only an ack retires an entry, acks are only sent for
+        // intact arrivals, and the first intact arrival of a token is its
+        // fresh one (every later copy dedups) — so no ack for this token
+        // can have landed yet, and no earlier arrival took the event.
+        let ev = self
+            .stack
+            .rel
+            .as_mut()
+            .expect("rel enabled")
+            .pending
+            .get_mut(token)
+            .and_then(|p| p.ev.take())
+            .expect("fresh arrival of an unacked, undelivered packet");
+        self.dispatch(ev);
     }
 
     /// Emit the reliability ack for `token` back across the fault plane.
@@ -287,7 +351,7 @@ impl Machine {
     /// no-op.
     pub(crate) fn rel_ack(&mut self, token: u64) {
         let rel = self.stack.rel.as_mut().expect("rel enabled");
-        if rel.pending.remove(&token).is_some() {
+        if rel.pending.ack(token).is_some() {
             self.stats.rel.acks += 1;
         }
     }
@@ -299,7 +363,7 @@ impl Machine {
     /// windows end.
     pub(crate) fn rel_timer(&mut self, token: u64, attempt: u32) {
         let rel = self.stack.rel.as_mut().expect("rel enabled");
-        let Some(p) = rel.pending.get_mut(&token) else {
+        let Some(p) = rel.pending.get_mut(token) else {
             return; // acked: the common case for every timer of a clean run
         };
         if p.attempt != attempt {
@@ -316,7 +380,7 @@ impl Machine {
             // retransmits, this channel's future puts pay rendezvous timing
             let r = rel.handle_retries.entry(h.0).or_insert(0);
             *r += 1;
-            if *r >= rel.degrade_after && rel.degraded.insert(h.0) {
+            if *r == rel.degrade_after {
                 self.stats.rel.degraded_channels += 1;
             }
         }
@@ -325,5 +389,78 @@ impl Machine {
             .tracer
             .rel_retry(sender as usize, self.now, next_attempt, backoff);
         self.rel_transmit(token, self.now);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::PendingRing;
+
+    fn ring_of(n: u32) -> PendingRing<u32> {
+        let mut r = PendingRing::new();
+        for i in 0..n {
+            assert_eq!(r.push(i), u64::from(i), "tokens are allocated in order");
+        }
+        r
+    }
+
+    #[test]
+    fn out_of_order_acks_compact_the_head() {
+        let mut r = ring_of(4);
+        assert_eq!(r.ack(2), Some(2));
+        assert_eq!(r.ack(1), Some(1));
+        // the head (0) is still pending: nothing compacts yet
+        assert_eq!((r.base, r.slots.len()), (0, 4));
+        assert_eq!(r.ack(0), Some(0));
+        // 0, 1 and 2 all retire at once; 3 becomes the head
+        assert_eq!((r.base, r.slots.len()), (3, 1));
+        assert_eq!(r.get(3), Some(&3));
+        assert_eq!(r.push(4), 4, "the next token follows the last one issued");
+    }
+
+    #[test]
+    fn duplicate_and_stale_acks_are_no_ops() {
+        let mut r = ring_of(3);
+        assert_eq!(r.ack(0), Some(0));
+        assert_eq!(r.ack(0), None, "below base");
+        assert_eq!(r.ack(2), Some(2));
+        assert_eq!(r.ack(2), None, "slot already empty");
+        assert_eq!(r.ack(7), None, "never issued");
+        assert_eq!((r.base, r.slots.len()), (1, 2));
+        assert_eq!(r.get(0), None);
+        assert_eq!(r.get_mut(2), None);
+        assert_eq!(r.get(1), Some(&1));
+    }
+
+    #[test]
+    fn a_held_head_keeps_later_tokens_reachable() {
+        let mut r = ring_of(1);
+        // token 0 keeps being dropped while 1000 later packets come and go
+        for t in 1..=1000u32 {
+            assert_eq!(r.push(t), u64::from(t));
+            *r.get_mut(0).expect("head still pending") += 1;
+            assert_eq!(r.get(u64::from(t)), Some(&t));
+            if t % 2 == 0 {
+                assert_eq!(r.ack(u64::from(t)), Some(t));
+            }
+        }
+        assert_eq!(r.base, 0);
+        assert_eq!(r.get(0), Some(&1000));
+        assert_eq!(r.get(999), Some(&999));
+        assert_eq!(r.get(1000), None);
+        assert_eq!(r.ack(0), Some(1000));
+        assert_eq!(r.base, 1, "token 1 (odd, unacked) is the new head");
+    }
+
+    #[test]
+    fn the_ring_is_empty_once_every_token_is_acked() {
+        let mut r = ring_of(64);
+        for t in (0..64).rev() {
+            assert!(!r.is_empty());
+            assert_eq!(r.ack(t), Some(t as u32));
+        }
+        assert!(r.is_empty());
+        assert_eq!(r.base, 64);
+        assert_eq!(r.push(0), 64);
     }
 }

@@ -99,6 +99,21 @@ run ./target/release/ckd-sweep validate \
     BENCH_channels.json BENCH_backends.json
 run scripts/bench_gate.sh
 
+# Benchmark smoke: one short untraced pass of all four ckd-perf workloads.
+# Every run is checked against crates/bench/src/bin/ckd-perf/expected/*.txt
+# (the 64 faulty sweep64 runs included), so any byte drift in a run's
+# result shows up as a non-zero "failed" count on the last line.
+echo "==> ckd-perf --seconds 1 --trace 0 (expect \"failed\": 0)"
+perf_last=$(./target/release/ckd-perf --seconds 1 --trace 0 | tail -n 1)
+case "$perf_last" in
+    *'"failed": 0,'*) echo "ckd-perf: every run matches expected/*.txt" ;;
+    *)
+        echo "error: ckd-perf runs drifted from expected/*.txt:" >&2
+        echo "$perf_last" | cut -c1-200 >&2
+        exit 1
+        ;;
+esac
+
 # Profiler smoke: the profiled smoke grid must emit structurally valid
 # snapshot JSONL streams that are byte-identical across worker counts,
 # then print the merged phase/histogram report.

@@ -16,7 +16,7 @@ use ckd_apps::matmul3d::{run_matmul_verify_on, MatmulCfg};
 use ckd_apps::openatom::{run_openatom_on, OpenAtomCfg};
 use ckd_apps::pingpong::charm_pingpong_on;
 use ckd_apps::{Platform, Variant};
-use ckd_charm::{FaultPlan, Machine, MachineBuilder};
+use ckd_charm::{FaultPlan, Machine, MachineBuilder, RetryPolicy};
 use ckd_race::SanitizerConfig;
 use ckd_sim::Time;
 
@@ -423,6 +423,61 @@ fn retransmits_never_inflate_app_visible_aggregates() {
     let (creg, freg) = (clean_m.direct_counters(), m.direct_counters());
     assert_eq!(freg.puts, creg.puts);
     assert_eq!(freg.deliveries, creg.deliveries);
+}
+
+// ----------------------------------------------------------- degradation
+
+/// A degradation threshold of 1 flips a channel to rendezvous timing at
+/// its first retransmission: later puts on it report
+/// `PutOutcome::Degraded` (counted in `degraded_puts`), each channel is
+/// counted once in `degraded_channels` however many retransmits follow,
+/// and the data still matches the fault-free run. `u32::MAX` never
+/// degrades.
+#[test]
+fn degradation_threshold_flips_flaky_channels_to_rendezvous() {
+    let cfg = JacobiCfg {
+        domain: [16, 8, 8],
+        chares: [2, 2, 2],
+        iters: 8,
+        variant: Variant::Ckd,
+        real_compute: true,
+    };
+    // a 2x2x2 chare grid has 12 neighbour pairs: one inbound channel each way
+    const CHANNELS: u64 = 24;
+    let (clean_res, clean_grid) = run_jacobi_grid_on(&mut ABE4.machine(8), cfg);
+    let run = |degrade_after: u32| {
+        let mut m = sanitized(8)
+            .with_faults_policy(
+                FaultPlan::new(0xC0FFEE).with_drop(0.20),
+                RetryPolicy::default(),
+                degrade_after,
+            )
+            .build();
+        let (res, grid) = run_jacobi_grid_on(&mut m, cfg);
+        assert_eq!(grid, clean_grid, "degrade_after={degrade_after}");
+        assert_eq!(res.residual.to_bits(), clean_res.residual.to_bits());
+        assert_recovered(&m, &format!("degrade_after={degrade_after}"));
+        (res, m.rel_stats())
+    };
+
+    let (res, rel) = run(1);
+    assert!(rel.degraded_channels > 0, "{rel:?}");
+    assert!(rel.degraded_channels <= CHANNELS, "{rel:?}");
+    assert!(
+        rel.degraded_channels < rel.retries,
+        "a channel must be counted once, not per retransmit: {rel:?}"
+    );
+    assert!(rel.degraded_puts > 0, "no put reported Degraded: {rel:?}");
+    assert!(
+        res.lossy_puts >= rel.degraded_puts,
+        "every Degraded outcome reaches the app: {} < {rel:?}",
+        res.lossy_puts
+    );
+
+    let (_, rel) = run(u32::MAX);
+    assert!(rel.retries > 0, "{rel:?}");
+    assert_eq!(rel.degraded_channels, 0, "{rel:?}");
+    assert_eq!(rel.degraded_puts, 0, "{rel:?}");
 }
 
 // ---------------------------------------------------------------- stalls
