@@ -12,7 +12,7 @@
 //! ckd-sweep channels [--out FILE]                 # channel-storm herd scaling → BENCH_channels.json
 //! ckd-sweep validate FILE...                      # schema-check BENCH_*.json files
 //! ckd-sweep profile  [--workers N] [--out FILE]   # profiled smoke grid: phase table,
-//!                                                 # histograms, snapshot validation
+//!                                                 # queue depth, snapshot validation
 //! ```
 //!
 //! `--shards N` forces every run of a grid onto the sharded PDES engine
@@ -215,7 +215,7 @@ fn profile(opts: &Opts) -> Result<(), String> {
 fn pdes() -> Result<(), String> {
     use ckd_apps::jacobi3d::{run_jacobi_on, JacobiCfg};
     use ckd_apps::{Platform, Variant};
-    use ckd_charm::{chrome_trace_json, text_summary, TraceConfig};
+    use ckd_charm::{chrome_trace_json, TraceConfig};
 
     let cfg = JacobiCfg {
         domain: [16, 16, 16],
@@ -234,7 +234,7 @@ fn pdes() -> Result<(), String> {
         run_jacobi_on(&mut m, cfg);
         let exports = (
             chrome_trace_json(m.tracer()).ok_or("pdes: run was not traced")?,
-            text_summary(m.tracer()).ok_or("pdes: run was not traced")?,
+            m.trace_summary().ok_or("pdes: run was not traced")?,
             format!("{:#?}\n", m.stats()),
         );
         Ok::<_, String>((exports, m.pdes_stats()))

@@ -14,7 +14,7 @@
 //!   [`maybe_trace`]; each opted-in run then dumps a text summary through
 //!   [`trace_epilogue`]. Off by default so timing loops stay untouched.
 
-use ckd_charm::{text_summary, Machine, MachineBuilder, TraceConfig};
+use ckd_charm::{Machine, MachineBuilder, TraceConfig};
 use ckd_sim::Time;
 
 pub mod chanstorm;
@@ -27,7 +27,7 @@ pub use chanstorm::{
 pub use sweep::{
     backends_grid, fig2a_grid, fig3b_grid, run_sweep, run_sweep_with, smoke_grid, sweep64_grid,
     sweep_json, table1_grid, validate_sweep_json, AppCase, BackendSel, HostReport, RunRecord,
-    RunSpec, SCHEMA, SCHEMA_V1,
+    RunSpec, SCHEMA,
 };
 
 /// True when `CKD_TRACE=1` asks benches to collect traces.
@@ -48,7 +48,7 @@ pub fn maybe_trace(b: MachineBuilder) -> MachineBuilder {
 
 /// Print the trace summary for a labeled run if tracing was enabled.
 pub fn trace_epilogue(label: &str, m: &Machine) {
-    if let Some(summary) = text_summary(m.tracer()) {
+    if let Some(summary) = m.trace_summary() {
         println!();
         println!("--- trace summary: {label} ---");
         print!("{summary}");

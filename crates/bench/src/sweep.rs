@@ -28,24 +28,14 @@ use ckd_charm::{FaultPlan, MachineStats, ProfConfig, ProfShard};
 
 use crate::TABLE_SIZES;
 
-/// Current schema tag of every JSON file this module emits: v4 adds the
-/// per-run `backend`/`cq_drains` fields recording which put-completion
-/// backend the run used (`ib-sentinel-poll`, `dcmf-callback`,
-/// `notified-put`, `shared-mem`) and how many CQ notification records it
-/// drained.
+/// Schema tag of every JSON file this module emits, and the only one
+/// [`validate_sweep_json`] accepts. Per-run lines carry the spec, the
+/// virtual-time metrics, the machine's counters, the PDES fields
+/// `shards`/`pdes_rounds`, and `backend`/`cq_drains` (which put-completion
+/// backend the run used — `ib-sentinel-poll`, `dcmf-callback`,
+/// `notified-put`, `shared-mem` — and how many CQ notification records it
+/// drained).
 pub const SCHEMA: &str = "ckd-sweep/v4";
-
-/// The v3 schema tag (per-run `shards`/`pdes_rounds` PDES fields);
-/// [`validate_sweep_json`] still accepts files carrying it so older
-/// trajectory archives keep validating.
-pub const SCHEMA_V3: &str = "ckd-sweep/v3";
-
-/// The v2 schema tag (per-run `callbacks`/`poll_checks`, host-side
-/// throughput metrics); likewise still accepted.
-pub const SCHEMA_V2: &str = "ckd-sweep/v2";
-
-/// The original schema tag; likewise still accepted.
-pub const SCHEMA_V1: &str = "ckd-sweep/v1";
 
 /// One application grid point: which app to run and its shape parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -187,10 +177,6 @@ pub struct RunRecord {
     pub pdes_rounds: u64,
     /// Name of the put-completion backend the run actually used.
     pub backend: &'static str,
-    /// Completion-queue notification records drained (0 outside the
-    /// notified-put backend; deterministic, so it participates in
-    /// equality).
-    pub cq_drains: u64,
     /// The run's JSONL snapshot stream when profiling was on
     /// (deterministic, so it participates in equality).
     pub snapshots: Option<String>,
@@ -214,7 +200,6 @@ impl PartialEq for RunRecord {
             && self.poll_checks == other.poll_checks
             && self.pdes_rounds == other.pdes_rounds
             && self.backend == other.backend
-            && self.cq_drains == other.cq_drains
             && self.snapshots == other.snapshots
     }
 }
@@ -309,7 +294,6 @@ impl RunSpec {
             poll_checks: m.poll_check_total(),
             pdes_rounds: m.pdes_stats().map_or(0, |s| s.rounds),
             backend: m.backend().name(),
-            cq_drains: m.cq_drain_total(),
             snapshots: m.profiler().snapshots_jsonl().map(str::to_string),
             host_ns: t0.elapsed().as_nanos() as u64,
             prof: m.profiler().shard().cloned(),
@@ -438,7 +422,7 @@ pub fn sweep_json(name: &str, records: &[RunRecord], host: Option<&HostReport>) 
             s.shards,
             r.pdes_rounds,
             r.backend,
-            r.cq_drains,
+            r.stats.cq_drains,
             if i + 1 == records.len() { "" } else { "," },
         ));
     }
@@ -480,8 +464,8 @@ pub fn sweep_json(name: &str, records: &[RunRecord], host: Option<&HostReport>) 
     out
 }
 
-/// Per-run keys required by every schema version.
-const RUN_KEYS_COMMON: [&str; 9] = [
+/// Per-run keys every [`SCHEMA`] run line carries.
+const RUN_KEYS: [&str; 15] = [
     "\"app\"",
     "\"variant\"",
     "\"platform\"",
@@ -491,46 +475,26 @@ const RUN_KEYS_COMMON: [&str; 9] = [
     "\"metric_ps\"",
     "\"total_ps\"",
     "\"events\"",
+    "\"callbacks\"",
+    "\"poll_checks\"",
+    "\"shards\"",
+    "\"pdes_rounds\"",
+    "\"backend\"",
+    "\"cq_drains\"",
 ];
 
-/// Per-run keys added by `ckd-sweep/v2`.
-const RUN_KEYS_V2: [&str; 2] = ["\"callbacks\"", "\"poll_checks\""];
-
-/// Per-run keys added by `ckd-sweep/v3`.
-const RUN_KEYS_V3: [&str; 2] = ["\"shards\"", "\"pdes_rounds\""];
-
-/// Per-run keys added by `ckd-sweep/v4`.
-const RUN_KEYS_V4: [&str; 2] = ["\"backend\"", "\"cq_drains\""];
-
-/// Host-block keys the bench gate reads; required whenever a v2+ file
+/// Host-block keys the bench gate reads; required whenever a file
 /// carries a `"host"` object at all.
 const HOST_KEYS: [&str; 2] = ["\"events_per_sec\"", "\"puts_per_sec\""];
 
-/// Structural check of a `BENCH_*.json` sweep file: schema tag
-/// (`ckd-sweep/v1` through `v4` are all accepted), balanced delimiters,
-/// and the per-run keys of the tagged version — errors name the missing
-/// or extra field and the version whose contract it violates.
-/// Deliberately parser-free (the workspace is std-only), like the
-/// trace-export sanity tests.
+/// Structural check of a `BENCH_*.json` sweep file: the [`SCHEMA`] tag,
+/// balanced delimiters, and every per-run key on every run line — errors
+/// name the missing field. Deliberately parser-free (the workspace is
+/// std-only), like the trace-export sanity tests.
 pub fn validate_sweep_json(s: &str) -> Result<(), String> {
-    let v4 = s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA}\""));
-    let v3 = s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA_V3}\""));
-    let v2 = s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA_V2}\""));
-    let v1 = s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA_V1}\""));
-    if !v4 && !v3 && !v2 && !v1 {
-        return Err(format!(
-            "missing schema tag ({SCHEMA:?}, {SCHEMA_V3:?}, {SCHEMA_V2:?} or {SCHEMA_V1:?})"
-        ));
+    if !s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA}\"")) {
+        return Err(format!("missing schema tag {SCHEMA:?}"));
     }
-    let tag = if v4 {
-        SCHEMA
-    } else if v3 {
-        SCHEMA_V3
-    } else if v2 {
-        SCHEMA_V2
-    } else {
-        SCHEMA_V1
-    };
     if !s.contains("\"name\": ") || !s.contains("\"runs\": [") {
         return Err("missing name/runs".into());
     }
@@ -546,51 +510,18 @@ pub fn validate_sweep_json(s: &str) -> Result<(), String> {
     if runs == 0 {
         return Err("no runs".into());
     }
-    for key in RUN_KEYS_COMMON {
+    for key in RUN_KEYS {
         let n = s.matches(key).count();
         if n != runs {
-            return Err(format!("{tag}: missing key {key} ({n}/{runs} runs)"));
-        }
-    }
-    for key in RUN_KEYS_V2 {
-        let n = s.matches(key).count();
-        if (v2 || v3 || v4) && n != runs {
-            return Err(format!("{tag}: missing v2 key {key} ({n}/{runs} runs)"));
-        }
-        if v1 && n != 0 {
-            return Err(format!(
-                "{tag}: extra v2-only key {key} in a v1 file ({n} occurrences)"
-            ));
-        }
-    }
-    for key in RUN_KEYS_V3 {
-        let n = s.matches(key).count();
-        if (v3 || v4) && n != runs {
-            return Err(format!("{tag}: missing v3 key {key} ({n}/{runs} runs)"));
-        }
-        if !(v3 || v4) && n != 0 {
-            return Err(format!(
-                "{tag}: extra v3-only key {key} in a {tag} file ({n} occurrences)"
-            ));
-        }
-    }
-    for key in RUN_KEYS_V4 {
-        let n = s.matches(key).count();
-        if v4 && n != runs {
-            return Err(format!("{tag}: missing v4 key {key} ({n}/{runs} runs)"));
-        }
-        if !v4 && n != 0 {
-            return Err(format!(
-                "{tag}: extra v4-only key {key} in a {tag} file ({n} occurrences)"
-            ));
+            return Err(format!("{SCHEMA}: missing key {key} ({n}/{runs} runs)"));
         }
     }
     // the host block is optional, but when present it must carry the
-    // throughput metrics the bench gate reads (v2 onwards)
-    if !v1 && s.contains("\"host\": {") {
+    // throughput metrics the bench gate reads
+    if s.contains("\"host\": {") {
         for key in HOST_KEYS {
             if !s.contains(key) {
-                return Err(format!("{tag}: host block missing {key}"));
+                return Err(format!("{SCHEMA}: host block missing {key}"));
             }
         }
     }
@@ -933,72 +864,25 @@ mod tests {
     fn schema_check_rejects_mangled_files() {
         let records = run_sweep(&[smoke_grid()[0]], 1);
         let good = sweep_json("unit", &records, None);
-        assert!(validate_sweep_json(&good.replace(SCHEMA, "ckd-sweep/v0")).is_err());
-        let e = validate_sweep_json(&good.replace("\"metric_ps\"", "\"m\"")).unwrap_err();
-        assert!(
-            e.contains("\"metric_ps\""),
-            "error must name the field: {e}"
-        );
+        // one schema version: older (and unknown) tags are refused
+        for old in ["ckd-sweep/v0", "ckd-sweep/v1", "ckd-sweep/v3"] {
+            let e = validate_sweep_json(&good.replace(SCHEMA, old)).unwrap_err();
+            assert!(e.contains(SCHEMA), "error must name the schema: {e}");
+        }
+        // a missing key is named, with the schema it belongs to
+        for key in ["\"metric_ps\"", "\"poll_checks\"", "\"cq_drains\""] {
+            let e = validate_sweep_json(&good.replace(key, "\"x\"")).unwrap_err();
+            assert!(
+                e.contains(key) && e.contains(SCHEMA),
+                "error must name key and schema: {e}"
+            );
+        }
         assert!(validate_sweep_json(&good.replace('}', "")).is_err());
         assert!(validate_sweep_json("{\n}").is_err());
     }
 
-    /// Strip every per-run key from `cut` onwards, rewriting a current
-    /// emission into a faithful older-schema file.
-    fn downversion(s: &str, old_tag: &str, cut_key: &str) -> String {
-        let mut out = String::new();
-        for line in s.replace(SCHEMA, old_tag).lines() {
-            if let (true, Some(cut)) = (
-                line.trim_start().starts_with("{\"app\""),
-                line.find(cut_key),
-            ) {
-                out.push_str(&line[..cut]);
-                out.push_str(&line[line.rfind('}').unwrap()..]);
-            } else {
-                out.push_str(line);
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    #[test]
-    fn schema_check_accepts_older_versions_and_polices_the_version_line() {
-        let records = run_sweep(&[smoke_grid()[0]], 1);
-        let v4 = sweep_json("unit", &records, None);
-        // faithful v3, v2 and v1 files validate
-        let v3 = downversion(&v4, SCHEMA_V3, ", \"backend\"");
-        validate_sweep_json(&v3).unwrap();
-        let v2 = downversion(&v4, SCHEMA_V2, ", \"shards\"");
-        validate_sweep_json(&v2).unwrap();
-        let v1 = downversion(&v4, SCHEMA_V1, ", \"callbacks\"");
-        validate_sweep_json(&v1).unwrap();
-        // a v1 file that smuggles v2 keys is named and shamed
-        let e = validate_sweep_json(&v4.replace(SCHEMA, SCHEMA_V1)).unwrap_err();
-        assert!(e.contains("\"callbacks\""), "error must name the key: {e}");
-        // ...as is a v2 file that smuggles v3 keys
-        let e = validate_sweep_json(&v4.replace(SCHEMA, SCHEMA_V2)).unwrap_err();
-        assert!(e.contains("\"shards\""), "error must name the key: {e}");
-        // ...and a v3 file that smuggles v4 keys
-        let e = validate_sweep_json(&v4.replace(SCHEMA, SCHEMA_V3)).unwrap_err();
-        assert!(e.contains("\"backend\""), "error must name the key: {e}");
-        // a v4 file missing a v2-era key likewise
-        let e = validate_sweep_json(&v4.replace("\"poll_checks\"", "\"pc\"")).unwrap_err();
-        assert!(
-            e.contains("\"poll_checks\""),
-            "error must name the key: {e}"
-        );
-        // ...and a v4 file missing a v4 key names both key and version
-        let e = validate_sweep_json(&v4.replace("\"cq_drains\"", "\"cd\"")).unwrap_err();
-        assert!(
-            e.contains("\"cq_drains\"") && e.contains(SCHEMA),
-            "error must name key and version: {e}"
-        );
-    }
-
     /// The bench gate reads `events_per_sec`/`puts_per_sec` from the host
-    /// block; a file whose host block lost them must fail validation —
-    /// on current files and on v2 archives alike.
+    /// block; a file whose host block lost them must fail validation.
     #[test]
     fn schema_check_requires_throughput_in_host_blocks() {
         let records = run_sweep(&[smoke_grid()[0]], 1);
@@ -1008,22 +892,18 @@ mod tests {
             serial_wall_ns: Some(2_000_000),
             cores: 4,
         };
-        let v4 = sweep_json("unit", &records, Some(&host));
-        validate_sweep_json(&v4).unwrap();
-        let v2 = downversion(&v4, SCHEMA_V2, ", \"shards\"");
-        validate_sweep_json(&v2).unwrap();
-        for file in [v4, v2] {
-            let gutted: String = file
-                .lines()
-                .filter(|l| !l.contains("\"events_per_sec\""))
-                .map(|l| format!("{l}\n"))
-                .collect();
-            let e = validate_sweep_json(&gutted).unwrap_err();
-            assert!(
-                e.contains("\"events_per_sec\""),
-                "error must name the missing host metric: {e}"
-            );
-        }
+        let file = sweep_json("unit", &records, Some(&host));
+        validate_sweep_json(&file).unwrap();
+        let gutted: String = file
+            .lines()
+            .filter(|l| !l.contains("\"events_per_sec\""))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let e = validate_sweep_json(&gutted).unwrap_err();
+        assert!(
+            e.contains("\"events_per_sec\""),
+            "error must name the missing host metric: {e}"
+        );
     }
 
     #[test]
@@ -1034,12 +914,15 @@ mod tests {
         slingshot.iters = 5;
         let r = slingshot.execute();
         assert_eq!(r.backend, "notified-put");
-        assert!(r.cq_drains > 0, "notified puts complete via CQ drains");
+        assert!(
+            r.stats.cq_drains > 0,
+            "notified puts complete via CQ drains"
+        );
         let mut shm = backends_grid()[3];
         shm.iters = 5;
         let r = shm.execute();
         assert_eq!(r.backend, "shared-mem", "BackendSel::SharedMem override");
-        assert_eq!(r.cq_drains, 0);
+        assert_eq!(r.stats.cq_drains, 0);
         let json = sweep_json("unit", &[r], None);
         assert!(json.contains("\"backend\": \"shared-mem\", \"cq_drains\": 0"));
         validate_sweep_json(&json).unwrap();
@@ -1057,7 +940,6 @@ mod tests {
         assert!(plain.prof.is_none() && plain.snapshots.is_none());
         let shard = prof.prof.as_ref().expect("profiled run carries a shard");
         assert_eq!(shard.events, prof.stats.events);
-        assert_eq!(shard.puts, prof.stats.puts);
         ckd_charm::validate_snapshot_jsonl(prof.snapshots.as_deref().unwrap()).unwrap();
     }
 }

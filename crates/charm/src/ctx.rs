@@ -149,10 +149,6 @@ impl<'a> Ctx<'a> {
         self.m.stats.msgs_sent += 1;
         self.m.stats.msg_bytes += msg.size as u64;
         self.m.stats.proto.record(proto, msg.size as u64);
-        self.m.pes[self.pe.idx()]
-            .stats
-            .proto_sent
-            .record(proto, msg.size as u64);
         if self.m.stack.tracer.is_enabled() {
             self.m.stack.tracer.msg_send(
                 self.pe.idx(),
@@ -561,11 +557,6 @@ impl<'a> Ctx<'a> {
         self.m.stats.puts += 1;
         self.m.stats.put_bytes += req.bytes as u64;
         self.m.stats.proto.record(proto, req.bytes as u64);
-        self.m.pes[self.pe.idx()]
-            .stats
-            .proto_sent
-            .record(proto, req.bytes as u64);
-        self.m.prof.put_issued(handle.0, begin);
         if self.m.stack.observing() {
             self.m.stack.on_put_issue(&PutIssueInfo {
                 pe: self.pe.idx(),

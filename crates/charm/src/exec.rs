@@ -228,9 +228,7 @@ impl Machine {
             .direct
             .cq_drain_into(pe, cq.drain_batch.max(1), &mut deliveries);
         elapsed += cq.drain_base + cq.drain_per_notification * drained as u64;
-        self.pes[pe.idx()].stats.cq_drains += drained as u64;
         self.stats.cq_drains += drained as u64;
-        self.prof.poll_batch(drained as u64);
         self.stack.tracer.poll_sweep(
             pe.idx(),
             start,
@@ -291,7 +289,6 @@ impl Machine {
             let checked = self.direct.poll_sweep_into(pe, &mut deliveries);
             elapsed += self.cfg.poll_per_handle * checked as u64;
             self.pes[pe.idx()].stats.poll_checks += checked as u64;
-            self.prof.poll_batch(checked as u64);
             self.stack.tracer.poll_sweep(
                 pe.idx(),
                 start,
@@ -441,7 +438,6 @@ impl Machine {
                 elapsed += self.cfg.compute.bytes(2 * bytes as u64);
             }
             self.pes[pe.idx()].stats.callbacks += 1;
-            self.prof.callback_fired(handle.0, start + elapsed);
             if self.stack.observing() {
                 let t0 = self.prof.begin();
                 self.stack.on_deliver(&DeliverInfo {
@@ -538,7 +534,7 @@ impl Machine {
         match tree_parent(&self.arrays[array.idx()].participants, pe) {
             Some(parent) => {
                 let t = self.net.control(pe, parent);
-                self.record_control(pe, t.delay);
+                self.record_control(t.delay);
                 // the send costs a sliver of CPU on this PE
                 let st = &mut self.pes[pe.idx()];
                 st.busy_until = st.busy_until.max(self.now) + t.send_cpu;
@@ -580,7 +576,7 @@ impl Machine {
                     RedTarget::Single(aref, ep) => {
                         let dst = self.home_pe(aref);
                         let t = self.net.control(pe, dst);
-                        self.record_control(pe, t.delay);
+                        self.record_control(t.delay);
                         let edge = self.stack.san.edge_out(pe.idx());
                         self.push_ev(
                             self.now + t.delay,
@@ -609,7 +605,7 @@ impl Machine {
             self.bcast_at(array, root, msg.ep, msg.payload, msg.size);
         } else {
             let t = self.net.control(from, root);
-            self.record_control(from, t.delay);
+            self.record_control(t.delay);
             let st = &mut self.pes[from.idx()];
             st.busy_until = st.busy_until.max(self.now) + t.send_cpu;
             st.stats.busy += t.send_cpu;
@@ -635,7 +631,7 @@ impl Machine {
         let children = tree_children(&self.arrays[array.idx()].participants, pe);
         for child in children {
             let t = self.net.control(pe, child);
-            self.record_control(pe, t.delay);
+            self.record_control(t.delay);
             let st = &mut self.pes[pe.idx()];
             st.busy_until = st.busy_until.max(self.now) + t.send_cpu;
             st.stats.busy += t.send_cpu;

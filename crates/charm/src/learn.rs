@@ -270,8 +270,8 @@ impl Ctx<'_> {
         let ack = self.m.net.control(dst_pe, self.pe).delay;
         let trip = ship + ack;
         // the handle ships in one control packet each way
-        self.m.record_control(self.pe, ship);
-        self.m.record_control(dst_pe, ack);
+        self.m.record_control(ship);
+        self.m.record_control(ack);
         if let Some(st) = self.m.stack.learner.streams.get_mut(&key) {
             st.handle = Some(h);
             st.send_region = Some(send);

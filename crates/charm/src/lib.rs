@@ -54,8 +54,8 @@ pub use stats::{MachineStats, PeStats, ProtoBreakdown, ProtoCounters};
 // need not depend on `ckd-trace` directly for the common
 // enable/export/report flow.
 pub use ckd_trace::{
-    chrome_trace_json, text_summary, validate_snapshot_jsonl, Hist, Phase, PhaseStat, ProfConfig,
-    ProfShard, Profiler, Snapshot, SnapshotStream, TraceConfig, Tracer,
+    chrome_trace_json, validate_snapshot_jsonl, Hist, Phase, PhaseStat, ProfConfig, ProfShard,
+    Profiler, Snapshot, SnapshotStream, TraceConfig, Tracer,
 };
 // Fault-injection entry points, likewise re-exported for the common
 // enable/inspect flow of chaos tests and experiments.

@@ -27,11 +27,13 @@
 
 use std::collections::VecDeque;
 
-use ckd_net::{NetModel, Protocol, RelStats, RetryPolicy};
+use ckd_net::{NetModel, Protocol, RetryPolicy};
 use ckd_race::{Footprint, Sanitizer, SanitizerConfig};
 use ckd_sim::{EventQueue, FaultCounts, FaultPlan, ReorderPolicy, Time};
 use ckd_topo::{Dims, Idx, Mapper, Pe};
-use ckd_trace::{Phase, ProfConfig, Profiler, ProtoClass, Snapshot, TraceConfig, Tracer};
+use ckd_trace::{
+    text_summary, Phase, ProfConfig, Profiler, ProtoClass, Snapshot, TraceConfig, Tracer,
+};
 use ckdirect::{DirectConfig, DirectRegistry, HandleId, RegistryCounters};
 
 use crate::array::{ArrayId, ArrayInfo};
@@ -308,6 +310,14 @@ impl Machine {
         &self.stack.san
     }
 
+    /// The trace's text summary, rendering the machine's own transfer,
+    /// reliability and reduction counters beside the tracer's histograms
+    /// (`None` unless tracing was enabled).
+    pub fn trace_summary(&self) -> Option<String> {
+        let s = &self.stats;
+        text_summary(&self.stack.tracer, &s.proto, &s.rel, s.reductions)
+    }
+
     /// The self-profiling handle (disabled unless profiling was enabled).
     pub fn profiler(&self) -> &Profiler {
         &self.prof
@@ -323,21 +333,9 @@ impl Machine {
         self.pes.iter().map(|p| p.stats.poll_checks).sum()
     }
 
-    /// Notification records drained from completion queues, summed over
-    /// every PE (zero on every backend but notified-put).
-    pub fn cq_drain_total(&self) -> u64 {
-        self.stats.cq_drains
-    }
-
     /// What the fault plane injected, when faults are enabled.
     pub fn fault_counts(&self) -> Option<FaultCounts> {
         self.stack.rel.as_ref().map(|r| r.plan.counts())
-    }
-
-    /// Reliability-layer counters (also available as
-    /// [`MachineStats::rel`]). All zero when faults were never enabled.
-    pub fn rel_stats(&self) -> RelStats {
-        self.stats.rel
     }
 
     /// Footprint of the reliability layer's per-link dedup table as
@@ -566,17 +564,13 @@ impl Machine {
 
     // ---- shared accounting helpers ----------------------------------------
 
-    /// Account one control packet issued from `pe` in the per-protocol
-    /// breakdowns (reduction hops, broadcast forwarding, handle shipping).
+    /// Account one control packet in the per-protocol breakdown
+    /// (reduction hops, broadcast forwarding, handle shipping).
     /// `delay` is the wire latency the packet was charged.
-    pub(crate) fn record_control(&mut self, pe: Pe, delay: Time) {
+    pub(crate) fn record_control(&mut self, delay: Time) {
         let bytes = self.net.control_bytes() as u64;
         self.stats.proto.record(Protocol::Control, bytes);
-        self.pes[pe.idx()]
-            .stats
-            .proto_sent
-            .record(Protocol::Control, bytes);
-        self.stack.tracer.control_transfer(bytes, delay);
+        self.stack.tracer.control_transfer(delay);
     }
 
     /// Schedule a scheduler iteration on `pe` if none is pending.

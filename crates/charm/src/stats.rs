@@ -1,76 +1,11 @@
 //! Execution statistics gathered by the machine.
 
-use ckd_net::{Protocol, RelStats};
+use ckd_net::RelStats;
 use ckd_sim::Time;
 
-/// Transfer count and payload bytes for one protocol family.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProtoCounters {
-    /// Transfers issued.
-    pub count: u64,
-    /// Payload bytes moved (envelopes excluded, like `msg_bytes`).
-    pub bytes: u64,
-}
-
-/// Per-protocol transfer breakdown, fed from the same instrumentation
-/// points as the aggregate counters: `eager + rendezvous + dcmf`
-/// reconciles with `msgs_sent`/`msg_bytes`, `rdma_put` (plus `dcmf` puts on
-/// non-RDMA fabrics) with `puts`/`put_bytes`, and `control` counts the
-/// reduction/broadcast/handle-shipping control packets that the aggregates
-/// deliberately exclude.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProtoBreakdown {
-    /// Two-sided sends below the eager threshold.
-    pub eager: ProtoCounters,
-    /// Two-sided sends that paid the RTS/CTS rendezvous handshake.
-    pub rendezvous: ProtoCounters,
-    /// One-sided RDMA puts (the CkDirect data path on Infiniband).
-    pub rdma_put: ProtoCounters,
-    /// DCMF active messages (every transfer on Blue Gene/P).
-    pub dcmf: ProtoCounters,
-    /// Small fixed-size control traffic (reduction hops, broadcast
-    /// forwarding, learned-channel handle shipping).
-    pub control: ProtoCounters,
-}
-
-impl ProtoBreakdown {
-    /// Account one transfer of `bytes` payload bytes under `proto`.
-    pub(crate) fn record(&mut self, proto: Protocol, bytes: u64) {
-        let slot = match proto {
-            Protocol::Eager => &mut self.eager,
-            Protocol::Rendezvous { .. } => &mut self.rendezvous,
-            Protocol::RdmaPut => &mut self.rdma_put,
-            Protocol::Dcmf => &mut self.dcmf,
-            Protocol::Control => &mut self.control,
-        };
-        slot.count += 1;
-        slot.bytes += bytes;
-    }
-
-    /// Sum over every protocol family.
-    pub fn total(&self) -> ProtoCounters {
-        let mut t = ProtoCounters::default();
-        for c in [
-            self.eager,
-            self.rendezvous,
-            self.rdma_put,
-            self.dcmf,
-            self.control,
-        ] {
-            t.count += c.count;
-            t.bytes += c.bytes;
-        }
-        t
-    }
-
-    /// The two-sided message families (what `msgs_sent` counts).
-    pub fn two_sided(&self) -> ProtoCounters {
-        ProtoCounters {
-            count: self.eager.count + self.rendezvous.count + self.dcmf.count,
-            bytes: self.eager.bytes + self.rendezvous.bytes + self.dcmf.bytes,
-        }
-    }
-}
+// The per-protocol breakdown lives beside `RelStats` in `ckd-net`, so the
+// trace summary can render the machine's counters without owning a copy.
+pub use ckd_net::{ProtoBreakdown, ProtoCounters};
 
 /// Per-PE counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -83,11 +18,6 @@ pub struct PeStats {
     pub callbacks: u64,
     /// Individual handle checks performed by poll sweeps.
     pub poll_checks: u64,
-    /// Notification records drained from this PE's completion queue
-    /// (notified-put backend only; zero elsewhere).
-    pub cq_drains: u64,
-    /// Protocol breakdown of transfers *issued from* this PE.
-    pub proto_sent: ProtoBreakdown,
 }
 
 /// Machine-wide counters.

@@ -1,16 +1,17 @@
-//! Reconciliation tests: the per-protocol breakdown added to
-//! `MachineStats`/`PeStats` must agree with the aggregate counters it was
-//! derived from, and with the `ckd-trace` metrics registry when tracing is
-//! enabled — all three views are fed from the same instrumentation points.
+//! Reconciliation tests: the per-protocol breakdown in `MachineStats` must
+//! agree with the aggregate counters it was derived from, and the tracer's
+//! own quantities (rendezvous handshakes, latency samples, reduction
+//! contributions) must line up with the machine counters they accompany.
+//! That every view renders the same value for one quantity is
+//! `tests/view_agreement.rs`.
 
 use bytes::Bytes;
 use ckd_charm::{
-    Chare, ChareRef, Ctx, EntryId, FaultPlan, LearnConfig, Machine, Msg, ProtoBreakdown, RedOp,
-    RedTarget, RedVal, TraceConfig,
+    Chare, ChareRef, Ctx, EntryId, FaultPlan, LearnConfig, Machine, Msg, RedOp, RedTarget, RedVal,
+    TraceConfig,
 };
 use ckd_net::presets;
 use ckd_topo::{Dims, Idx, Machine as Topo, Mapper};
-use ckd_trace::ProtoClass;
 
 const EP_START: EntryId = EntryId(0);
 const EP_SMALL: EntryId = EntryId(1);
@@ -28,33 +29,6 @@ fn ib_builder(pes: usize, cores: usize) -> ckd_charm::MachineBuilder {
 
 fn ib_machine(pes: usize, cores: usize) -> Machine {
     ib_builder(pes, cores).build()
-}
-
-/// Sum the per-PE breakdowns field-wise; must equal the machine-wide one.
-fn sum_pe_breakdowns(m: &Machine) -> ProtoBreakdown {
-    let mut total = ProtoBreakdown::default();
-    for pe in 0..m.npes() {
-        let p = &m.pe_stats(ckd_topo::Pe(pe as u32)).proto_sent;
-        for (t, s) in [
-            (&mut total.eager, &p.eager),
-            (&mut total.rendezvous, &p.rendezvous),
-            (&mut total.rdma_put, &p.rdma_put),
-            (&mut total.dcmf, &p.dcmf),
-            (&mut total.control, &p.control),
-        ] {
-            t.count += s.count;
-            t.bytes += s.bytes;
-        }
-    }
-    total
-}
-
-fn assert_breakdowns_equal(a: &ProtoBreakdown, b: &ProtoBreakdown) {
-    assert_eq!(a.eager, b.eager, "eager mismatch");
-    assert_eq!(a.rendezvous, b.rendezvous, "rendezvous mismatch");
-    assert_eq!(a.rdma_put, b.rdma_put, "rdma-put mismatch");
-    assert_eq!(a.dcmf, b.dcmf, "dcmf mismatch");
-    assert_eq!(a.control, b.control, "control mismatch");
 }
 
 // ------------------------------------------------- two-sided reconciliation
@@ -128,21 +102,8 @@ fn two_sided_breakdown_reconciles_with_aggregates() {
     assert_eq!(s.proto.two_sided().bytes, s.msg_bytes);
     assert_eq!(s.proto.eager.bytes, 2 * (ROUNDS as u64) * SMALL as u64);
     assert_eq!(s.proto.rendezvous.bytes, 2 * (ROUNDS as u64) * BIG as u64);
-    // per-PE breakdowns sum to the machine-wide one
-    assert_breakdowns_equal(&sum_pe_breakdowns(&m), &s.proto);
-    // the trace metrics saw the identical split
-    let metrics = m.tracer().metrics().unwrap();
-    for (class, counters) in [
-        (ProtoClass::Eager, s.proto.eager),
-        (ProtoClass::Rendezvous, s.proto.rendezvous),
-        (ProtoClass::RdmaPut, s.proto.rdma_put),
-        (ProtoClass::Control, s.proto.control),
-    ] {
-        let t = metrics.proto_stat(class);
-        assert_eq!(t.count, counters.count, "{class:?} count");
-        assert_eq!(t.bytes, counters.bytes, "{class:?} bytes");
-    }
     // every rendezvous transfer produced one reconstructed RTS and CTS
+    let metrics = m.tracer().metrics().unwrap();
     assert_eq!(metrics.rts, s.proto.rendezvous.count);
     assert_eq!(metrics.cts, s.proto.rendezvous.count);
 }
@@ -235,11 +196,8 @@ fn put_breakdown_reconciles_with_aggregates() {
     assert_eq!(s.puts, totals.hits);
     assert_eq!(s.proto.two_sided().count, s.msgs_sent);
     assert_eq!(s.proto.two_sided().bytes, s.msg_bytes);
-    assert_breakdowns_equal(&sum_pe_breakdowns(&m), &s.proto);
-    // trace metrics agree with the stats breakdown and the registry
+    // the registry agrees, and each delivery closed one trace latency sample
     let metrics = m.tracer().metrics().unwrap();
-    assert_eq!(metrics.proto_stat(ProtoClass::RdmaPut).count, s.puts);
-    assert_eq!(metrics.proto_stat(ProtoClass::RdmaPut).bytes, s.put_bytes);
     let reg = m.direct_counters();
     assert_eq!(reg.puts, s.puts);
     assert_eq!(
@@ -252,15 +210,12 @@ fn put_breakdown_reconciles_with_aggregates() {
 /// Under an injected-fault plan a retransmitted put still counts exactly
 /// once in every app-visible aggregate — `puts`, `put_bytes`, the
 /// per-protocol breakdown, and the registry all match a fault-free run of
-/// the same program. The replays surface only in the reliability stats and
-/// the trace metrics' dedicated counters.
+/// the same program. The replays surface only in the reliability stats.
 #[test]
 fn retransmitted_puts_count_once_with_retries_separate() {
     const ROUNDS: u32 = 16;
     let run = |plan: Option<FaultPlan>| {
-        let mut b = ib_builder(4, 1)
-            .with_learning(LearnConfig { threshold: 3 })
-            .with_tracing(TraceConfig::default());
+        let mut b = ib_builder(4, 1).with_learning(LearnConfig { threshold: 3 });
         if let Some(p) = plan {
             b = b.with_faults(p);
         }
@@ -291,7 +246,7 @@ fn retransmitted_puts_count_once_with_retries_separate() {
         FaultPlan::new(0xACED).with_drop(0.15).with_corrupt(0.05),
     ));
 
-    let rel = faulty.rel_stats();
+    let rel = faulty.stats().rel;
     assert!(rel.retries > 0, "the plan never bit a put or message");
     // the program itself is oblivious: every payload arrived exactly once
     assert_eq!(clean_rx, ROUNDS);
@@ -310,21 +265,11 @@ fn retransmitted_puts_count_once_with_retries_separate() {
     );
     assert_eq!(fs.proto.rdma_put, cs.proto.rdma_put);
     assert_eq!(fs.proto.two_sided().count, cs.proto.two_sided().count);
-    assert_breakdowns_equal(&sum_pe_breakdowns(&faulty), &fs.proto);
     // the registry agrees: one landing consumed per logical put
     let (creg, freg) = (clean.direct_counters(), faulty.direct_counters());
     assert_eq!(freg.puts, creg.puts);
     assert_eq!(freg.deliveries, creg.deliveries);
     assert_eq!(freg.puts, fs.puts);
-    // the retries are visible — but only in the reliability plane
-    let metrics = faulty.tracer().metrics().unwrap();
-    assert_eq!(metrics.retries, rel.retries, "trace metrics track retries");
-    assert_eq!(metrics.drops, rel.drops_injected);
-    assert_eq!(
-        metrics.proto_stat(ProtoClass::RdmaPut).count,
-        fs.puts,
-        "trace put records exclude retransmissions"
-    );
 }
 
 #[test]
@@ -351,7 +296,6 @@ fn contributes_show_up_in_reduce_counters() {
     let metrics = m.tracer().metrics().unwrap();
     // one contribute per element per generation, one completion per generation
     assert_eq!(metrics.reduce_contribs, 4 * ROUNDS as u64);
-    assert_eq!(metrics.reduce_completes, ROUNDS as u64);
     assert_eq!(m.stats().reductions, ROUNDS as u64);
 }
 

@@ -43,6 +43,6 @@ pub use error::DirectError;
 pub use region::Region;
 pub use registry::{
     ChannelCounters, DirectConfig, DirectRegistry, LandOutcome, LifecycleProbe, PutRequest,
-    RegistryCounters, SweepOutcome, Transition,
+    RegistryCounters, Transition,
 };
 pub use strided::StridedSpec;

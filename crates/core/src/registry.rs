@@ -9,7 +9,7 @@
 //! * the executor schedules the wire delay returned by its network model
 //!   and calls [`DirectRegistry::land`] when the data arrives;
 //! * on the `IbPoll` backend the executor calls
-//!   [`DirectRegistry::poll_sweep`] between scheduler iterations and invokes
+//!   [`DirectRegistry::poll_sweep_into`] between scheduler iterations and invokes
 //!   the callbacks it returns; on `DcmfCallback`, `land` itself hands the
 //!   callback back.
 //!
@@ -162,15 +162,6 @@ pub enum LandOutcome<C> {
     /// was deposited in the receiver's completion queue; a future
     /// [`DirectRegistry::cq_drain_into`] will deliver it.
     Notified,
-}
-
-/// Result of one poll sweep over a PE's polling queue.
-#[derive(Debug)]
-pub struct SweepOutcome<C> {
-    /// Handles examined (each costs `poll_per_handle` of scheduler time).
-    pub checked: usize,
-    /// Callbacks to invoke, in queue order.
-    pub deliveries: Vec<(HandleId, C)>,
 }
 
 /// Lifetime counters of a [`DirectRegistry`], named so metrics consumers
@@ -877,17 +868,6 @@ impl<C: Clone> DirectRegistry<C> {
         checked
     }
 
-    /// [`Self::poll_sweep_into`] with an owned result (tests and simple
-    /// drivers; the executor's hot loop reuses a pooled buffer instead).
-    pub fn poll_sweep(&mut self, pe: Pe) -> SweepOutcome<C> {
-        let mut deliveries = Vec::new();
-        let checked = self.poll_sweep_into(pe, &mut deliveries);
-        SweepOutcome {
-            checked,
-            deliveries,
-        }
-    }
-
     /// Drain up to `max_batch` notification records from `pe`'s completion
     /// queue (`NotifiedPut` backend), appending the callbacks to `out` in
     /// landing order and returning how many were drained.
@@ -932,14 +912,6 @@ impl<C: Clone> DirectRegistry<C> {
             drained += 1;
         }
         drained
-    }
-
-    /// [`Self::cq_drain_into`] with an owned result (tests and simple
-    /// drivers).
-    pub fn cq_drain(&mut self, pe: Pe, max_batch: usize) -> Vec<(HandleId, C)> {
-        let mut out = Vec::new();
-        self.cq_drain_into(pe, max_batch, &mut out);
-        out
     }
 
     /// Undelivered notification records waiting in `pe`'s completion queue.
@@ -1210,6 +1182,22 @@ impl<C: Clone> DirectRegistry<C> {
     }
 }
 
+/// Test driver: one poll sweep on `pe`, returning its deliveries.
+#[cfg(test)]
+fn sweep<C: Clone>(reg: &mut DirectRegistry<C>, pe: Pe) -> Vec<(HandleId, C)> {
+    let mut out = Vec::new();
+    reg.poll_sweep_into(pe, &mut out);
+    out
+}
+
+/// Test driver: drain up to `max` CQ records on `pe`.
+#[cfg(test)]
+fn drain<C: Clone>(reg: &mut DirectRegistry<C>, pe: Pe, max: usize) -> Vec<(HandleId, C)> {
+    let mut out = Vec::new();
+    reg.cq_drain_into(pe, max, &mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1228,9 +1216,9 @@ mod tests {
 
     fn land_and_sweep(reg: &mut Reg, h: HandleId) -> Vec<(HandleId, u32)> {
         match reg.land(h).unwrap() {
-            LandOutcome::AwaitPoll => reg.poll_sweep(Pe(1)).deliveries,
+            LandOutcome::AwaitPoll => sweep(reg, Pe(1)),
             LandOutcome::Deliver(cb) => vec![(h, cb)],
-            LandOutcome::Notified => reg.cq_drain(Pe(1), usize::MAX),
+            LandOutcome::Notified => drain(reg, Pe(1), usize::MAX),
         }
     }
 
@@ -1287,7 +1275,7 @@ mod tests {
         assert_eq!(reg.put(h, Pe(0)).unwrap_err(), DirectError::PutInFlight);
         reg.land(h).unwrap();
         assert_eq!(reg.put(h, Pe(0)).unwrap_err(), DirectError::PutInFlight);
-        reg.poll_sweep(Pe(1));
+        sweep(&mut reg, Pe(1));
         assert_eq!(reg.put(h, Pe(0)).unwrap_err(), DirectError::Overwrite);
     }
 
@@ -1406,9 +1394,9 @@ mod tests {
         send.fill(0xFF); // last word == u64::MAX == the pattern
         reg.put(h, Pe(0)).unwrap();
         reg.land(h).unwrap();
-        let sweep = reg.poll_sweep(Pe(1));
-        assert_eq!(sweep.checked, 1);
-        assert!(sweep.deliveries.is_empty(), "undetectable arrival");
+        let mut delivered = Vec::new();
+        assert_eq!(reg.poll_sweep_into(Pe(1), &mut delivered), 1);
+        assert!(delivered.is_empty(), "undetectable arrival");
         assert!(reg.collided(h).unwrap());
     }
 
@@ -1426,7 +1414,7 @@ mod tests {
         send.fill(1);
         reg.put(h, Pe(0)).unwrap();
         reg.land(h).unwrap();
-        assert_eq!(reg.poll_sweep(Pe(1)).deliveries.len(), 1);
+        assert_eq!(sweep(&mut reg, Pe(1)).len(), 1);
         // mark early …
         reg.ready_mark(h).unwrap();
         assert_eq!(reg.pollq_len(Pe(1)), 0, "not polled until ReadyPollQ");
@@ -1434,7 +1422,7 @@ mod tests {
         send.fill(2);
         reg.put(h, Pe(0)).unwrap();
         // sweeps in between cost nothing for this handle
-        assert_eq!(reg.poll_sweep(Pe(1)).checked, 0);
+        assert_eq!(reg.poll_sweep_into(Pe(1), &mut Vec::new()), 0);
         reg.land(h).unwrap();
         // … and ReadyPollQ discovers the already-landed data immediately.
         let cb = reg.ready_poll_q(h).unwrap();
@@ -1448,7 +1436,7 @@ mod tests {
         send.fill(1);
         reg.put(h, Pe(0)).unwrap();
         reg.land(h).unwrap();
-        reg.poll_sweep(Pe(1));
+        sweep(&mut reg, Pe(1));
         reg.ready_mark(h).unwrap();
         send.fill(2);
         reg.put(h, Pe(0)).unwrap();
@@ -1456,7 +1444,7 @@ mod tests {
         assert!(reg.ready_poll_q(h).unwrap().is_none());
         assert_eq!(reg.pollq_len(Pe(1)), 1);
         reg.land(h).unwrap();
-        assert_eq!(reg.poll_sweep(Pe(1)).deliveries.len(), 1);
+        assert_eq!(sweep(&mut reg, Pe(1)).len(), 1);
     }
 
     #[test]
@@ -1468,7 +1456,7 @@ mod tests {
         _s.fill(1);
         reg.put(h, Pe(0)).unwrap();
         reg.land(h).unwrap();
-        reg.poll_sweep(Pe(1));
+        sweep(&mut reg, Pe(1));
         assert_eq!(reg.ready_poll_q(h).unwrap(), None);
         assert_eq!(reg.pollq_len(Pe(1)), 0, "not queued while delivered");
         // the channel is still released only by ready_mark
@@ -1486,7 +1474,7 @@ mod tests {
         send.fill(1);
         reg.put(h, Pe(0)).unwrap();
         reg.land(h).unwrap();
-        reg.poll_sweep(Pe(1));
+        sweep(&mut reg, Pe(1));
         reg.ready_mark(h).unwrap();
         send.fill(2);
         reg.put(h, Pe(0)).unwrap();
@@ -1503,9 +1491,13 @@ mod tests {
         // historical semantics: the queue entry (and its sweep charge)
         // survives the raced delivery until the handle cycles again
         assert_eq!(reg.pollq_len(Pe(1)), 1);
-        let sweep = reg.poll_sweep(Pe(1));
-        assert_eq!(sweep.checked, 1, "still charged while queued");
-        assert!(sweep.deliveries.is_empty(), "but never double-delivered");
+        let mut delivered = Vec::new();
+        assert_eq!(
+            reg.poll_sweep_into(Pe(1), &mut delivered),
+            1,
+            "still charged while queued"
+        );
+        assert!(delivered.is_empty(), "but never double-delivered");
     }
 
     #[test]
@@ -1535,8 +1527,8 @@ mod tests {
         reg.put(h2, Pe(0)).unwrap();
         reg.land(h1).unwrap();
         reg.land(h2).unwrap();
-        assert_eq!(reg.poll_sweep(Pe(1)).deliveries, vec![(h1, 1)]);
-        assert_eq!(reg.poll_sweep(Pe(2)).deliveries, vec![(h2, 2)]);
+        assert_eq!(sweep(&mut reg, Pe(1)), vec![(h1, 1)]);
+        assert_eq!(sweep(&mut reg, Pe(2)), vec![(h2, 2)]);
         assert_eq!(r1.to_vec(), vec![0x5A; 32]);
         assert_eq!(r2.to_vec(), vec![0x5A; 32]);
     }
@@ -1556,7 +1548,7 @@ mod tests {
         send.fill(3);
         reg.put(h, Pe(0)).unwrap();
         reg.land(h).unwrap();
-        reg.poll_sweep(Pe(1));
+        sweep(&mut reg, Pe(1));
         reg.ready(h).unwrap();
         assert_eq!(
             seen.borrow().as_slice(),
@@ -1588,9 +1580,9 @@ mod tests {
             reg.create_handle(Pe(0), Region::alloc(16), u64::MAX, 0)
                 .unwrap();
         }
-        let sweep = reg.poll_sweep(Pe(0));
-        assert_eq!(sweep.checked, 50);
-        assert!(sweep.deliveries.is_empty());
+        let mut delivered = Vec::new();
+        assert_eq!(reg.poll_sweep_into(Pe(0), &mut delivered), 50);
+        assert!(delivered.is_empty());
         assert_eq!(reg.pollq_len(Pe(0)), 50, "undelivered handles stay queued");
     }
 
@@ -1607,19 +1599,19 @@ mod tests {
             .unwrap();
         let busy = reg.create_handle(Pe(0), recv, u64::MAX, 1).unwrap();
         reg.assoc_local(busy, Pe(0), send.clone()).unwrap();
-        reg.poll_sweep(Pe(0));
-        reg.poll_sweep(Pe(0));
+        sweep(&mut reg, Pe(0));
+        sweep(&mut reg, Pe(0));
         assert_eq!(reg.channel_counters(idle).unwrap().checks, 2);
         assert_eq!(reg.channel_counters(busy).unwrap().checks, 2);
         send.fill(3);
         reg.put(busy, Pe(0)).unwrap();
         reg.land(busy).unwrap();
-        assert_eq!(reg.poll_sweep(Pe(0)).deliveries.len(), 1);
+        assert_eq!(sweep(&mut reg, Pe(0)).len(), 1);
         // the delivering sweep counted for both channels
         assert_eq!(reg.channel_counters(idle).unwrap().checks, 3);
         assert_eq!(reg.channel_counters(busy).unwrap().checks, 3);
         // delivered channel's balance is settled: further sweeps are free
-        reg.poll_sweep(Pe(0));
+        sweep(&mut reg, Pe(0));
         assert_eq!(reg.channel_counters(idle).unwrap().checks, 4);
         assert_eq!(reg.channel_counters(busy).unwrap().checks, 3);
     }
@@ -1649,10 +1641,14 @@ mod tests {
             reg.land(h).unwrap();
         }
         assert_eq!(reg.ready_total(), 3, "only landed channels are ringed");
-        let sweep = reg.poll_sweep(Pe(0));
-        assert_eq!(sweep.checked, 10_003, "virtual charge covers the herd");
+        let mut delivered = Vec::new();
         assert_eq!(
-            sweep.deliveries.iter().map(|&(h, _)| h).collect::<Vec<_>>(),
+            reg.poll_sweep_into(Pe(0), &mut delivered),
+            10_003,
+            "virtual charge covers the herd"
+        );
+        assert_eq!(
+            delivered.iter().map(|&(h, _)| h).collect::<Vec<_>>(),
             active,
             "delivered in queue-insertion order"
         );
@@ -1702,7 +1698,7 @@ mod tests {
             DirectError::PutInFlight,
             "landed-but-undelivered is still outstanding"
         );
-        reg.poll_sweep(Pe(1));
+        sweep(&mut reg, Pe(1));
         // delivered data belongs to the receiver; it may destroy now
         reg.destroy_handle(h).unwrap();
         assert_eq!(reg.live_channels(), 0);
@@ -1799,8 +1795,8 @@ mod strided_tests {
 
         reg.put(h, Pe(0)).unwrap();
         reg.land(h).unwrap();
-        let sweep = reg.poll_sweep(Pe(1));
-        assert_eq!(sweep.deliveries.len(), 1);
+        let delivered = sweep(&mut reg, Pe(1));
+        assert_eq!(delivered.len(), 1);
         // column 2 of dst == column 1 of src; other columns untouched
         for r in 0..4 {
             let row = dst_mat.read_f64s(r * 4 * 8, 4);
@@ -1812,7 +1808,7 @@ mod strided_tests {
         src_mat.write_f64s(8, &[-1.0]); // src[0][1] = -1
         reg.put(h, Pe(0)).unwrap();
         reg.land(h).unwrap();
-        reg.poll_sweep(Pe(1));
+        sweep(&mut reg, Pe(1));
         assert_eq!(dst_mat.read_f64s(2 * 8, 1), vec![-1.0]);
     }
 
@@ -1944,7 +1940,7 @@ mod notified_tests {
         }
         assert_eq!(reg.cq_len(Pe(1)), 1, "one record awaiting drain");
         assert_eq!(reg.phase(h).unwrap(), DataPhase::Landed);
-        let delivered = reg.cq_drain(Pe(1), 16);
+        let delivered = drain(&mut reg, Pe(1), 16);
         assert_eq!(delivered, vec![(h, 7)]);
         assert_eq!(recv.to_vec(), vec![9u8; 32], "payload landed in place");
         assert_eq!(reg.cq_len(Pe(1)), 0);
@@ -1954,7 +1950,7 @@ mod notified_tests {
         send.fill(4);
         reg.put(h, Pe(0)).unwrap();
         reg.land(h).unwrap();
-        assert_eq!(reg.cq_drain(Pe(1), 16).len(), 1);
+        assert_eq!(drain(&mut reg, Pe(1), 16).len(), 1);
         let c = reg.counters();
         assert_eq!((c.puts, c.deliveries), (2, 2));
         assert_eq!((c.notifications, c.cq_drains), (2, 2));
@@ -1983,12 +1979,12 @@ mod notified_tests {
         assert_eq!(reg.counters().cq_overflows, 1);
         assert_eq!(reg.counters().notifications, 1);
         // draining releases CQ space; the retry then lands normally
-        assert_eq!(reg.cq_drain(Pe(1), 16), vec![(h0, 0)]);
+        assert_eq!(drain(&mut reg, Pe(1), 16), vec![(h0, 0)]);
         match reg.land(h1).unwrap() {
             LandOutcome::Notified => {}
             other => panic!("retry should land, got {other:?}"),
         }
-        assert_eq!(reg.cq_drain(Pe(1), 16), vec![(h1, 1)]);
+        assert_eq!(drain(&mut reg, Pe(1), 16), vec![(h1, 1)]);
         assert_eq!(r1.to_vec(), vec![2u8; 32]);
     }
 
@@ -2007,14 +2003,14 @@ mod notified_tests {
             reg.land(hs[i]).unwrap();
         }
         assert_eq!(reg.cq_total(), 3);
-        let first = reg.cq_drain(Pe(1), 2);
+        let first = drain(&mut reg, Pe(1), 2);
         assert_eq!(
             first.iter().map(|&(h, _)| h).collect::<Vec<_>>(),
             vec![hs[2], hs[0]],
             "FIFO landing order, batch-bounded"
         );
         assert_eq!(reg.cq_len(Pe(1)), 1);
-        let rest = reg.cq_drain(Pe(1), 2);
+        let rest = drain(&mut reg, Pe(1), 2);
         assert_eq!(
             rest.iter().map(|&(h, _)| h).collect::<Vec<_>>(),
             vec![hs[1]]
@@ -2038,7 +2034,7 @@ mod notified_tests {
             "replay suppressed"
         );
         assert_eq!(reg.cq_len(Pe(1)), 1, "exactly one notification");
-        assert_eq!(reg.cq_drain(Pe(1), 16).len(), 1);
+        assert_eq!(drain(&mut reg, Pe(1), 16).len(), 1);
         assert_eq!(reg.counters().dup_landings, 1);
         assert_eq!(reg.counters().notifications, 1);
     }
@@ -2053,7 +2049,7 @@ mod notified_tests {
         reg.put(h, Pe(0)).unwrap();
         reg.land(h).unwrap();
         assert_eq!(reg.destroy_handle(h).unwrap_err(), DirectError::PutInFlight);
-        reg.cq_drain(Pe(1), 16);
+        drain(&mut reg, Pe(1), 16);
         reg.destroy_handle(h).unwrap();
         assert_eq!(reg.cq_total(), 0);
     }

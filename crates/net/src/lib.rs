@@ -30,4 +30,4 @@ pub use model::{NetModel, Protocol, Timing};
 pub use params::{
     CqParams, DcmfParams, FabricParams, IbParams, SharedMemParams, SlingshotParams, WireParams,
 };
-pub use proto::{LinkSeqs, RelStats, RetryPolicy};
+pub use proto::{LinkSeqs, ProtoBreakdown, ProtoCounters, RelStats, RetryPolicy};

@@ -1,5 +1,6 @@
 //! Reliability protocol state: retry/backoff policy, per-link sequence
-//! numbers with receiver-side dedup, and the counters the runtime exposes.
+//! numbers with receiver-side dedup, and the counters the runtime exposes
+//! (the reliability counters and the per-protocol transfer breakdown).
 //!
 //! This module holds the *state machines* of the reliable-delivery layer;
 //! the executor in `ckd-charm` owns the event plumbing (timers, acks,
@@ -11,6 +12,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ckd_sim::Time;
+
+use crate::model::Protocol;
 
 /// A directed link between two PEs.
 pub type RelLink = (u32, u32);
@@ -166,6 +169,76 @@ impl RelStats {
     /// Total faults the plane injected into this run.
     pub fn injected(&self) -> u64 {
         self.drops_injected + self.dups_injected + self.corrupts_injected + self.delays_injected
+    }
+}
+
+/// Transfer count and payload bytes for one protocol family.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProtoCounters {
+    /// Transfers issued.
+    pub count: u64,
+    /// Payload bytes moved (envelopes excluded, like `msg_bytes`).
+    pub bytes: u64,
+}
+
+/// Per-protocol transfer breakdown, surfaced through `MachineStats::proto`
+/// and rendered by the trace summary. Fed from the same instrumentation
+/// points as the aggregate counters: `eager + rendezvous + dcmf`
+/// reconciles with `msgs_sent`/`msg_bytes`, `rdma_put` (plus `dcmf` puts on
+/// non-RDMA fabrics) with `puts`/`put_bytes`, and `control` counts the
+/// reduction/broadcast/handle-shipping control packets that the aggregates
+/// deliberately exclude.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ProtoBreakdown {
+    /// Two-sided sends below the eager threshold.
+    pub eager: ProtoCounters,
+    /// Two-sided sends that paid the RTS/CTS rendezvous handshake.
+    pub rendezvous: ProtoCounters,
+    /// One-sided RDMA puts (the CkDirect data path on Infiniband).
+    pub rdma_put: ProtoCounters,
+    /// DCMF active messages (every transfer on Blue Gene/P).
+    pub dcmf: ProtoCounters,
+    /// Small fixed-size control traffic (reduction hops, broadcast
+    /// forwarding, learned-channel handle shipping).
+    pub control: ProtoCounters,
+}
+
+impl ProtoBreakdown {
+    /// Account one transfer of `bytes` payload bytes under `proto`.
+    pub fn record(&mut self, proto: Protocol, bytes: u64) {
+        let slot = match proto {
+            Protocol::Eager => &mut self.eager,
+            Protocol::Rendezvous { .. } => &mut self.rendezvous,
+            Protocol::RdmaPut => &mut self.rdma_put,
+            Protocol::Dcmf => &mut self.dcmf,
+            Protocol::Control => &mut self.control,
+        };
+        slot.count += 1;
+        slot.bytes += bytes;
+    }
+
+    /// Sum over every protocol family.
+    pub fn total(&self) -> ProtoCounters {
+        let mut t = ProtoCounters::default();
+        for c in [
+            self.eager,
+            self.rendezvous,
+            self.rdma_put,
+            self.dcmf,
+            self.control,
+        ] {
+            t.count += c.count;
+            t.bytes += c.bytes;
+        }
+        t
+    }
+
+    /// The two-sided message families (what `msgs_sent` counts).
+    pub fn two_sided(&self) -> ProtoCounters {
+        ProtoCounters {
+            count: self.eager.count + self.rendezvous.count + self.dcmf.count,
+            bytes: self.eager.bytes + self.rendezvous.bytes + self.dcmf.bytes,
+        }
     }
 }
 

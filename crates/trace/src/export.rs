@@ -9,6 +9,7 @@
 
 use std::fmt::Write as _;
 
+use ckd_net::{ProtoBreakdown, ProtoCounters, RelStats};
 use ckd_sim::Time;
 
 use crate::event::{ProtoClass, TraceEvent};
@@ -257,10 +258,30 @@ fn histogram_line(h: &Hist) -> String {
     parts.join("  ")
 }
 
+/// The machine's counters for one protocol class.
+fn proto_counters(proto: &ProtoBreakdown, p: ProtoClass) -> ProtoCounters {
+    match p {
+        ProtoClass::Eager => proto.eager,
+        ProtoClass::Rendezvous => proto.rendezvous,
+        ProtoClass::RdmaPut => proto.rdma_put,
+        ProtoClass::Dcmf => proto.dcmf,
+        ProtoClass::Control => proto.control,
+    }
+}
+
 /// Render the collected metrics as a plain-text summary report.
 ///
+/// The tracer owns only what the machine does not count; the transfer
+/// counts and bytes (`proto`), drops and retransmits (`rel`) and completed
+/// `reductions` are the machine's own counters, passed in.
+///
 /// Returns `None` when the tracer is disabled.
-pub fn text_summary(tracer: &Tracer) -> Option<String> {
+pub fn text_summary(
+    tracer: &Tracer,
+    proto: &ProtoBreakdown,
+    rel: &RelStats,
+    reductions: u64,
+) -> Option<String> {
     let m = tracer.metrics()?;
     let rings = tracer.rings()?;
     let mut out = String::with_capacity(4096);
@@ -283,25 +304,24 @@ pub fn text_summary(tracer: &Tracer) -> Option<String> {
         "protocol", "count", "bytes", "mean lat (us)"
     );
     for p in ProtoClass::ALL {
-        let s = m.proto_stat(p);
-        if s.count == 0 {
+        let c = proto_counters(proto, p);
+        if c.count == 0 {
             continue;
         }
         let _ = writeln!(
             out,
             "{:<12} {:>10} {:>14} {:>14.3}",
             p.label(),
-            s.count,
-            s.bytes,
-            s.mean_latency_ns() / 1_000.0
+            c.count,
+            c.bytes,
+            m.proto_latency(p).mean() / 1_000.0
         );
     }
+    let total = proto.total();
     let _ = writeln!(
         out,
         "{:<12} {:>10} {:>14}",
-        "total",
-        m.total_count(),
-        m.total_bytes()
+        "total", total.count, total.bytes
     );
     out.push('\n');
 
@@ -339,18 +359,18 @@ pub fn text_summary(tracer: &Tracer) -> Option<String> {
     let _ = writeln!(
         out,
         "rendezvous rts: {}   cts: {}   reductions: {} contribs / {} completes",
-        m.rts, m.cts, m.reduce_contribs, m.reduce_completes
+        m.rts, m.cts, m.reduce_contribs, reductions
     );
     out.push('\n');
 
     // Emitted only when the fault plane actually fired, so fault-free runs
     // keep their pre-reliability-layer byte-identical summaries.
-    if m.drops + m.retries > 0 {
+    if rel.drops_injected + rel.retries > 0 {
         let _ = writeln!(out, "-- reliability --");
         let _ = writeln!(
             out,
             "drops observed: {}   retransmits: {}",
-            m.drops, m.retries
+            rel.drops_injected, rel.retries
         );
         let _ = writeln!(
             out,
@@ -421,11 +441,20 @@ mod tests {
         t
     }
 
+    /// The machine-side counters matching `sample_tracer`'s two transfers.
+    fn sample_summary() -> String {
+        let mut proto = ProtoBreakdown::default();
+        proto.record(ckd_net::Protocol::Eager, 256);
+        proto.record(ckd_net::Protocol::RdmaPut, 4096);
+        text_summary(&sample_tracer(), &proto, &RelStats::default(), 0).unwrap()
+    }
+
     #[test]
     fn disabled_exports_are_none() {
         let t = Tracer::disabled();
         assert!(chrome_trace_json(&t).is_none());
-        assert!(text_summary(&t).is_none());
+        let proto = ProtoBreakdown::default();
+        assert!(text_summary(&t, &proto, &RelStats::default(), 0).is_none());
     }
 
     #[test]
@@ -456,12 +485,13 @@ mod tests {
 
     #[test]
     fn summary_reports_counts() {
-        let s = text_summary(&sample_tracer()).unwrap();
+        let s = sample_summary();
         assert!(s.contains("eager"));
         assert!(s.contains("rdma-put"));
+        assert!(s.contains("total                 2           4352"));
         assert!(s.contains("issue→callback completions: 1"));
         assert!(s.contains("sweeps: 1"));
-        let s2 = text_summary(&sample_tracer()).unwrap();
-        assert_eq!(s, s2);
+        assert!(!s.contains("-- reliability --"), "no faults, no section");
+        assert_eq!(s, sample_summary());
     }
 }

@@ -1,6 +1,12 @@
 //! Aggregated metrics fed from the same instrumentation points as the event
 //! rings.
 //!
+//! Only what the machine does not count itself lives here: latency,
+//! poll-occupancy and queue-depth histograms, per-channel stats, and the
+//! rendezvous/reduction-contribution tallies. Transfer counts and bytes,
+//! drops, retries and completed reductions have one owner, the machine's
+//! `MachineStats`, which [`crate::text_summary`] is handed to render them.
+//!
 //! Everything here is deterministic: per-protocol tables are fixed-size
 //! arrays indexed by [`ProtoClass::index`], and per-channel stats live in a
 //! `BTreeMap` so iteration order never depends on hashing.
@@ -11,24 +17,6 @@ use ckd_sim::Time;
 
 use crate::event::ProtoClass;
 use crate::hist::Hist;
-
-/// Count / byte / latency triple for one protocol class.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ProtoStat {
-    /// Transfers using this protocol.
-    pub count: u64,
-    /// Payload bytes moved by this protocol.
-    pub bytes: u64,
-    /// Modeled end-to-end delay per transfer, in nanoseconds.
-    pub latency_ns: Hist,
-}
-
-impl ProtoStat {
-    /// Mean modeled delay in nanoseconds; 0 when no transfers were seen.
-    pub fn mean_latency_ns(&self) -> f64 {
-        self.latency_ns.mean()
-    }
-}
 
 /// Per-channel (per-handle) CkDirect statistics.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -53,8 +41,9 @@ impl ChannelStat {
 /// The metrics registry attached to an enabled tracer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
-    /// Per-protocol transfer stats, indexed by [`ProtoClass::index`].
-    pub proto: [ProtoStat; ProtoClass::COUNT],
+    /// Modeled end-to-end delay per transfer in nanoseconds, one
+    /// histogram per protocol class, indexed by [`ProtoClass::index`].
+    pub proto_latency_ns: [Hist; ProtoClass::COUNT],
     /// Put-issue → callback-fire latency across all channels (ns).
     pub put_to_callback_ns: Hist,
     /// Handles examined per polling sweep.
@@ -71,12 +60,6 @@ pub struct Metrics {
     pub cts: u64,
     /// Reduction contributions observed.
     pub reduce_contribs: u64,
-    /// Reductions completed at a root.
-    pub reduce_completes: u64,
-    /// Packets the fault plane dropped on the wire.
-    pub drops: u64,
-    /// Reliability-layer retransmissions.
-    pub retries: u64,
     /// Backoff armed per retransmission, in nanoseconds (exponential
     /// schedule shows up as a geometric ladder across buckets).
     pub backoff_ns: Hist,
@@ -88,14 +71,10 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Record one transfer under its protocol class.
+    /// Record one transfer's modeled delay under its protocol class.
     #[inline]
-    pub fn record_transfer(&mut self, proto: ProtoClass, bytes: u64, delay: Time) {
-        let s = &mut self.proto[proto.index()];
-        s.count += 1;
-        s.bytes += bytes;
-        let ns = delay.as_ps() / 1_000;
-        s.latency_ns.record(ns);
+    pub fn record_transfer(&mut self, proto: ProtoClass, delay: Time) {
+        self.proto_latency_ns[proto.index()].record(delay.as_ps() / 1_000);
     }
 
     /// Record a put-issue → callback latency for `handle`.
@@ -110,19 +89,9 @@ impl Metrics {
             .record(ns);
     }
 
-    /// Stats row for one protocol class.
-    pub fn proto_stat(&self, p: ProtoClass) -> &ProtoStat {
-        &self.proto[p.index()]
-    }
-
-    /// Total transfers across all protocol classes.
-    pub fn total_count(&self) -> u64 {
-        self.proto.iter().map(|s| s.count).sum()
-    }
-
-    /// Total payload bytes across all protocol classes.
-    pub fn total_bytes(&self) -> u64 {
-        self.proto.iter().map(|s| s.bytes).sum()
+    /// Delay histogram of one protocol class.
+    pub fn proto_latency(&self, p: ProtoClass) -> &Hist {
+        &self.proto_latency_ns[p.index()]
     }
 }
 
@@ -133,15 +102,13 @@ mod tests {
     #[test]
     fn transfer_accounting_by_class() {
         let mut m = Metrics::new();
-        m.record_transfer(ProtoClass::Eager, 512, Time::from_us(3));
-        m.record_transfer(ProtoClass::Eager, 256, Time::from_us(2));
-        m.record_transfer(ProtoClass::RdmaPut, 4096, Time::from_us(9));
-        assert_eq!(m.proto_stat(ProtoClass::Eager).count, 2);
-        assert_eq!(m.proto_stat(ProtoClass::Eager).bytes, 768);
-        assert_eq!(m.proto_stat(ProtoClass::RdmaPut).count, 1);
-        assert_eq!(m.total_count(), 3);
-        assert_eq!(m.total_bytes(), 768 + 4096);
-        assert_eq!(m.proto_stat(ProtoClass::Eager).latency_ns.count(), 2);
+        m.record_transfer(ProtoClass::Eager, Time::from_us(3));
+        m.record_transfer(ProtoClass::Eager, Time::from_us(2));
+        m.record_transfer(ProtoClass::RdmaPut, Time::from_us(9));
+        assert_eq!(m.proto_latency(ProtoClass::Eager).count(), 2);
+        assert_eq!(m.proto_latency(ProtoClass::Eager).sum(), 5_000);
+        assert_eq!(m.proto_latency(ProtoClass::RdmaPut).count(), 1);
+        assert_eq!(m.proto_latency(ProtoClass::Control).count(), 0);
     }
 
     #[test]

@@ -12,20 +12,22 @@
 //! Enabled, it collects a [`ProfShard`]:
 //!
 //! * wall-clock [`PhaseStat`]s per scheduler [`Phase`] (`Instant`-based,
-//!   host-dependent, excluded from determinism comparisons);
-//! * three deterministic [`Hist`]ograms derived from virtual time and
-//!   counters — put issue→callback latency, poll batch size, and
-//!   event-queue depth;
+//!   host-dependent, excluded from determinism comparisons), the loop's
+//!   total host time, and the dispatched-event count that turns it into
+//!   a throughput;
+//! * the event-queue depth [`Hist`]ogram sampled after every pop;
 //! * a [`SnapshotStream`] of periodic JSONL metric samples keyed by
 //!   virtual time (see [`crate::snapshot`]).
+//!
+//! The profiler measures host time only. Virtual-time quantities — put
+//! issue→callback latency, poll batch size, puts issued — have one owner
+//! each (the tracer's [`crate::Metrics`] or the machine's counters) and
+//! are read from there.
 //!
 //! Shards merge ([`ProfShard::merge`]), so a parallel sweep can aggregate
 //! per-worker profiles into one machine-wide report.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
-
-use ckd_sim::Time;
 
 use crate::hist::Hist;
 use crate::snapshot::{Snapshot, SnapshotStream};
@@ -112,25 +114,18 @@ impl PhaseStat {
     }
 }
 
-/// One worker's (or one machine's) complete profile. The three histograms
-/// plus `events`/`puts` are derived from virtual time and deterministic
-/// counters — byte-identical across runs and worker counts; the phase
-/// table and `host_ns` are wall-clock and vary with the host.
+/// One worker's (or one machine's) complete profile. `queue_depth` and
+/// `events` are deterministic — byte-identical across runs and worker
+/// counts; the phase table and `host_ns` are wall-clock and vary with the
+/// host.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfShard {
     /// Wall-clock phase table (host-dependent).
     pub phases: [PhaseStat; Phase::COUNT],
-    /// Put issue→callback latency in nanoseconds of *virtual* time
-    /// (deterministic).
-    pub put_lat_ns: Hist,
-    /// Handles checked per poll sweep (deterministic).
-    pub poll_batch: Hist,
     /// Event-queue depth sampled after each pop (deterministic).
     pub queue_depth: Hist,
     /// Scheduler events dispatched under profiling (deterministic).
     pub events: u64,
-    /// One-sided puts issued under profiling (deterministic).
-    pub puts: u64,
     /// Total wall time spent in profiled dispatch loops, nanoseconds
     /// (host-dependent).
     pub host_ns: u64,
@@ -142,11 +137,8 @@ impl ProfShard {
         for (p, o) in self.phases.iter_mut().zip(&other.phases) {
             p.merge(o);
         }
-        self.put_lat_ns.merge(&other.put_lat_ns);
-        self.poll_batch.merge(&other.poll_batch);
         self.queue_depth.merge(&other.queue_depth);
         self.events += other.events;
-        self.puts += other.puts;
         self.host_ns += other.host_ns;
     }
 
@@ -160,18 +152,9 @@ impl ProfShard {
         }
     }
 
-    /// Host puts/second over the profiled dispatch loops.
-    pub fn puts_per_sec(&self) -> f64 {
-        if self.host_ns == 0 {
-            0.0
-        } else {
-            self.puts as f64 * 1e9 / self.host_ns as f64
-        }
-    }
-
     /// The full profile report: phase table, throughput line, and the
-    /// three histograms. Wall-clock numbers vary by host; the histogram
-    /// sections are deterministic.
+    /// queue-depth histogram. Wall-clock numbers vary by host; the
+    /// histogram section is deterministic.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -196,18 +179,11 @@ impl ProfShard {
         }
         out.push_str("(poll and layers are nested spans; they overlap the dispatch phases)\n");
         out.push_str(&format!(
-            "throughput: {:.0} events/s, {:.0} puts/s \
-             ({} events, {} puts, {:.3} ms host)\n",
+            "throughput: {:.0} events/s ({} events, {:.3} ms host)\n",
             self.events_per_sec(),
-            self.puts_per_sec(),
             self.events,
-            self.puts,
             self.host_ns as f64 / 1e6
         ));
-        out.push_str("\nput issue->callback latency (virtual ns):\n");
-        out.push_str(&self.put_lat_ns.render("ns"));
-        out.push_str("\npoll batch size (handles checked per sweep):\n");
-        out.push_str(&self.poll_batch.render("handles"));
         out.push_str("\nevent-queue depth (sampled per dispatch):\n");
         out.push_str(&self.queue_depth.render("events"));
         out
@@ -237,8 +213,6 @@ struct ProfInner {
     cfg: ProfConfig,
     shard: ProfShard,
     snaps: SnapshotStream,
-    /// Put issue times awaiting their callback, keyed by handle.
-    outstanding: BTreeMap<u32, Time>,
 }
 
 /// Zero-cost-when-disabled self-profiling handle, the host-time sibling
@@ -261,7 +235,6 @@ impl Profiler {
                 cfg,
                 shard: ProfShard::default(),
                 snaps: SnapshotStream::new(),
-                outstanding: BTreeMap::new(),
             })),
         }
     }
@@ -315,38 +288,6 @@ impl Profiler {
         }
     }
 
-    /// A put was issued at virtual time `at`; starts the issue→callback
-    /// clock and counts toward puts/sec.
-    #[inline]
-    pub fn put_issued(&mut self, handle: u32, at: Time) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.shard.puts += 1;
-            inner.outstanding.insert(handle, at);
-        }
-    }
-
-    /// The completion callback for `handle` fired at virtual time `at`;
-    /// closes the issue→callback clock if a matching issue was seen.
-    #[inline]
-    pub fn callback_fired(&mut self, handle: u32, at: Time) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            if let Some(issued) = inner.outstanding.remove(&handle) {
-                inner
-                    .shard
-                    .put_lat_ns
-                    .record(at.saturating_sub(issued).as_ps() / 1_000);
-            }
-        }
-    }
-
-    /// One poll sweep checked `checked` handles.
-    #[inline]
-    pub fn poll_batch(&mut self, checked: u64) {
-        if let Some(inner) = self.inner.as_deref_mut() {
-            inner.shard.poll_batch.record(checked);
-        }
-    }
-
     /// Accumulate wall time of one profiled dispatch loop.
     #[inline]
     pub fn add_host_ns(&mut self, ns: u64) {
@@ -374,29 +315,12 @@ mod tests {
         assert!(p.begin().is_none());
         p.end(Phase::Sched, None);
         p.event_dispatched(4);
-        p.put_issued(3, Time::from_us(1));
-        p.callback_fired(3, Time::from_us(2));
-        p.poll_batch(7);
+        p.add_host_ns(10);
         p.record_snapshot(&Snapshot::default());
         assert!(!p.is_enabled());
         assert!(p.shard().is_none());
         assert!(p.snapshots_jsonl().is_none());
         assert!(p.snapshot_every().is_none());
-    }
-
-    #[test]
-    fn put_latency_uses_virtual_time() {
-        let mut p = Profiler::enabled(ProfConfig::default());
-        p.put_issued(5, Time::from_us(10));
-        p.callback_fired(5, Time::from_us(15));
-        // a callback with no matching issue is harmless
-        p.callback_fired(42, Time::from_us(16));
-        let s = p.shard().unwrap();
-        assert_eq!(s.puts, 1);
-        assert_eq!(s.put_lat_ns.count(), 1);
-        // 5 µs = 5000 ns, bucket [4096, 8192)
-        assert_eq!(Hist::bucket_for(5_000), 13);
-        assert_eq!(s.put_lat_ns.sum(), 5_000);
     }
 
     #[test]
@@ -417,18 +341,17 @@ mod tests {
         let mut a = Profiler::enabled(ProfConfig::default());
         let mut b = Profiler::enabled(ProfConfig::default());
         a.event_dispatched(2);
-        a.poll_batch(3);
         b.event_dispatched(9);
-        b.put_issued(1, Time::from_us(1));
-        b.callback_fired(1, Time::from_us(3));
+        b.add_host_ns(2_000_000);
         let mut merged = a.shard().unwrap().clone();
         merged.merge(b.shard().unwrap());
         assert_eq!(merged.events, 2);
-        assert_eq!(merged.puts, 1);
+        assert_eq!(merged.host_ns, 2_000_000);
         assert_eq!(merged.queue_depth.count(), 2);
+        assert_eq!(merged.queue_depth.sum(), 11);
         let report = merged.render();
         assert!(report.contains("sched"));
-        assert!(report.contains("poll batch size"));
-        assert!(report.contains("1 puts"));
+        assert!(report.contains("throughput: 1000 events/s (2 events, 2.000 ms host)"));
+        assert!(report.contains("event-queue depth"));
     }
 }

@@ -19,17 +19,12 @@ use crate::ring::EventRing;
 pub struct TraceConfig {
     /// Per-PE ring capacity in records.
     pub ring_capacity: usize,
-    /// Whether to sample scheduler queue depth at event boundaries. Sampling
-    /// emits one counter record per scheduler trip; disable to keep rings
-    /// focused on communication records.
-    pub sample_queue_depth: bool,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             ring_capacity: 1 << 16,
-            sample_queue_depth: true,
         }
     }
 }
@@ -38,7 +33,6 @@ impl Default for TraceConfig {
 /// word inside the machine.
 #[derive(Debug)]
 pub struct TraceInner {
-    cfg: TraceConfig,
     rings: Vec<EventRing>,
     /// The aggregated metrics registry.
     pub metrics: Metrics,
@@ -62,7 +56,6 @@ impl Tracer {
     pub fn enabled(cfg: TraceConfig, pes: usize) -> Tracer {
         Tracer {
             inner: Some(Box::new(TraceInner {
-                cfg,
                 rings: (0..pes)
                     .map(|_| EventRing::new(cfg.ring_capacity))
                     .collect(),
@@ -119,7 +112,7 @@ impl Tracer {
         let Some(inner) = self.inner.as_deref_mut() else {
             return;
         };
-        inner.metrics.record_transfer(proto, bytes, delay);
+        inner.metrics.record_transfer(proto, delay);
         Self::push(
             inner,
             pe,
@@ -158,7 +151,7 @@ impl Tracer {
         let Some(inner) = self.inner.as_deref_mut() else {
             return;
         };
-        inner.metrics.record_transfer(proto, bytes, delay);
+        inner.metrics.record_transfer(proto, delay);
         let ch = inner.metrics.channels.entry(handle).or_default();
         ch.puts += 1;
         ch.bytes += bytes;
@@ -224,15 +217,14 @@ impl Tracer {
 
     /// A control packet was charged (reduction hop, broadcast forwarding,
     /// handle shipping). Metrics-only: control traffic is too chatty to
-    /// ring-buffer individually but still belongs in the per-protocol table.
+    /// ring-buffer individually but still belongs in the per-protocol
+    /// latency table.
     #[inline]
-    pub fn control_transfer(&mut self, bytes: u64, delay: Time) {
+    pub fn control_transfer(&mut self, delay: Time) {
         let Some(inner) = self.inner.as_deref_mut() else {
             return;
         };
-        inner
-            .metrics
-            .record_transfer(ProtoClass::Control, bytes, delay);
+        inner.metrics.record_transfer(ProtoClass::Control, delay);
     }
 
     /// Rendezvous RTS issued from `pe` toward `dst`.
@@ -272,7 +264,6 @@ impl Tracer {
         let Some(inner) = self.inner.as_deref_mut() else {
             return;
         };
-        inner.metrics.reduce_completes += 1;
         Self::push(inner, pe, at, TraceEvent::ReduceComplete { red });
     }
 
@@ -295,7 +286,6 @@ impl Tracer {
         let Some(inner) = self.inner.as_deref_mut() else {
             return;
         };
-        inner.metrics.drops += 1;
         Self::push(inner, pe, at, TraceEvent::FaultDrop { dst });
     }
 
@@ -306,21 +296,19 @@ impl Tracer {
         let Some(inner) = self.inner.as_deref_mut() else {
             return;
         };
-        inner.metrics.retries += 1;
         inner.metrics.backoff_ns.record(backoff.as_ps() / 1_000);
         Self::push(inner, pe, at, TraceEvent::Retransmit { attempt, backoff });
     }
 
-    /// Sample `pe`'s scheduler queue depth at an event boundary.
+    /// Sample `pe`'s scheduler queue depth at an event boundary: one
+    /// histogram sample and one counter record per scheduler trip.
     #[inline]
     pub fn queue_depth(&mut self, pe: usize, at: Time, depth: u32) {
         let Some(inner) = self.inner.as_deref_mut() else {
             return;
         };
         inner.metrics.queue_depth.record(depth as u64);
-        if inner.cfg.sample_queue_depth {
-            Self::push(inner, pe, at, TraceEvent::QueueDepth { depth });
-        }
+        Self::push(inner, pe, at, TraceEvent::QueueDepth { depth });
     }
 }
 
@@ -389,10 +377,7 @@ mod tests {
 
     #[test]
     fn ring_saturation_is_counted() {
-        let cfg = TraceConfig {
-            ring_capacity: 8,
-            sample_queue_depth: true,
-        };
+        let cfg = TraceConfig { ring_capacity: 8 };
         let mut t = Tracer::enabled(cfg, 1);
         for i in 0..100u64 {
             t.queue_depth(0, Time::from_ns(i), i as u32);

@@ -62,7 +62,7 @@ fn main() {
         }
     }
 
-    let rel = m.rel_stats();
+    let rel = m.stats().rel;
     println!(
         "reliability: {} drop injected, {} timeout fired, {} retransmit;",
         rel.drops_injected, rel.timeouts, rel.retries

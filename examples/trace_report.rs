@@ -8,13 +8,15 @@
 //! * `target/jacobi3d.summary.txt` — plain-text per-protocol and
 //!   per-channel breakdown.
 //!
-//! The example also cross-checks the trace metrics against the machine's
-//! own counters: the per-protocol put/message counts visible in the export
-//! must reconcile with `MachineStats`.
+//! The summary's per-protocol counts and bytes are the machine's own
+//! `MachineStats` counters; the tracer adds the latency histograms. The
+//! example cross-checks that every transfer the machine counted left one
+//! latency sample in the trace, and every delivered put one issue→callback
+//! sample.
 
 use ckd_apps::jacobi3d::{run_jacobi_on, JacobiCfg};
 use ckd_apps::{Platform, Variant};
-use ckd_charm::{chrome_trace_json, text_summary, TraceConfig};
+use ckd_charm::{chrome_trace_json, TraceConfig};
 use ckd_trace::ProtoClass;
 
 fn main() {
@@ -33,35 +35,23 @@ fn main() {
     };
     let res = run_jacobi_on(&mut m, cfg);
 
-    // --- reconcile trace metrics with the machine's own counters ---------
-    let stats = m.stats().clone();
+    // --- the trace's samples cover the machine's own counters ------------
+    let stats = m.stats();
     let metrics = m.tracer().metrics().expect("tracing was enabled");
-    let puts_traced = metrics.proto_stat(ProtoClass::RdmaPut).count;
-    let msgs_traced = metrics.proto_stat(ProtoClass::Eager).count
-        + metrics.proto_stat(ProtoClass::Rendezvous).count
-        + metrics.proto_stat(ProtoClass::Dcmf).count;
-    assert_eq!(
-        puts_traced, stats.puts,
-        "traced puts must match MachineStats"
-    );
-    assert_eq!(
-        puts_traced, stats.proto.rdma_put.count,
-        "trace and stats breakdowns disagree on puts"
-    );
-    assert_eq!(
-        msgs_traced, stats.msgs_sent,
-        "traced messages must match MachineStats"
-    );
-    assert_eq!(
-        metrics.proto_stat(ProtoClass::RdmaPut).bytes,
-        stats.put_bytes,
-        "traced put bytes must match MachineStats"
-    );
-    assert_eq!(
-        metrics.proto_stat(ProtoClass::Control).count,
-        stats.proto.control.count,
-        "traced control packets must match the stats breakdown"
-    );
+    assert_eq!(stats.proto.rdma_put.count, stats.puts, "IB puts are RDMA");
+    assert_eq!(stats.proto.two_sided().count, stats.msgs_sent);
+    for (class, counters) in [
+        (ProtoClass::Eager, stats.proto.eager),
+        (ProtoClass::Rendezvous, stats.proto.rendezvous),
+        (ProtoClass::RdmaPut, stats.proto.rdma_put),
+        (ProtoClass::Control, stats.proto.control),
+    ] {
+        assert_eq!(
+            metrics.proto_latency(class).count(),
+            counters.count,
+            "one {class:?} latency sample per counted transfer"
+        );
+    }
     let direct = m.direct_counters();
     assert_eq!(
         metrics.put_to_callback_ns.count(),
@@ -71,7 +61,7 @@ fn main() {
 
     // --- emit both exports ----------------------------------------------
     let json = chrome_trace_json(m.tracer()).expect("enabled tracer exports");
-    let summary = text_summary(m.tracer()).expect("enabled tracer exports");
+    let summary = m.trace_summary().expect("enabled tracer exports");
     std::fs::create_dir_all("target").expect("create target/");
     std::fs::write("target/jacobi3d.trace.json", &json).expect("write trace json");
     std::fs::write("target/jacobi3d.summary.txt", &summary).expect("write summary");

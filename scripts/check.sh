@@ -72,7 +72,7 @@ run cargo test --release --offline -q --test backend_conformance
 
 # Sweep engine: a tiny grid on 2 workers must merge byte-identical to the
 # 1-worker pass, the committed trajectory files must parse against the
-# ckd-sweep schema (v1 through v4), and the full 64-run sweep must
+# one ckd-sweep schema (v4), and the full 64-run sweep must
 # reproduce the committed virtual-time baseline within the host-tolerant
 # wall and throughput budgets.
 run ./target/release/ckd-sweep smoke --workers 2
@@ -99,6 +99,15 @@ run ./target/release/ckd-sweep validate \
     BENCH_channels.json BENCH_backends.json
 run scripts/bench_gate.sh
 
+# Benchmark lockfile: ckd-perf is built from its own manifest and lockfile
+# without --locked, so a new edge between workspace crates would make Cargo
+# silently rewrite crates/bench/src/bin/ckd-perf/Cargo.lock mid-benchmark.
+# Resolving with --locked fails instead when the lockfile is stale.
+echo "==> cargo metadata --locked (ckd-perf's Cargo.lock is current)"
+cargo metadata --locked --offline \
+    --manifest-path crates/bench/src/bin/ckd-perf/Cargo.toml \
+    --format-version 1 >/dev/null
+
 # Benchmark smoke: one short untraced pass of all four ckd-perf workloads.
 # Every run is checked against crates/bench/src/bin/ckd-perf/expected/*.txt
 # (the 64 faulty sweep64 runs included), so any byte drift in a run's
@@ -116,7 +125,7 @@ esac
 
 # Profiler smoke: the profiled smoke grid must emit structurally valid
 # snapshot JSONL streams that are byte-identical across worker counts,
-# then print the merged phase/histogram report.
+# then print the merged phase/queue-depth report.
 run ./target/release/ckd-sweep profile --workers 2
 
 # Schedule-space model checker: the four paper apps must certify as

@@ -100,15 +100,18 @@ fn backends_have_their_cost_signatures() {
         match r.backend {
             "ib-sentinel-poll" => {
                 assert!(r.poll_checks > 0, "{app}: polling backend never polled");
-                assert_eq!(r.cq_drains, 0, "{app}: polling backend drained a CQ");
+                assert_eq!(r.stats.cq_drains, 0, "{app}: polling backend drained a CQ");
             }
             "notified-put" => {
-                assert!(r.cq_drains > 0, "{app}: notified backend never drained");
+                assert!(
+                    r.stats.cq_drains > 0,
+                    "{app}: notified backend never drained"
+                );
                 assert_eq!(r.poll_checks, 0, "{app}: notified backend examined handles");
             }
             "dcmf-callback" | "shared-mem" => {
                 assert_eq!(r.poll_checks, 0, "{app}: {} polled", r.backend);
-                assert_eq!(r.cq_drains, 0, "{app}: {} drained a CQ", r.backend);
+                assert_eq!(r.stats.cq_drains, 0, "{app}: {} drained a CQ", r.backend);
             }
             other => panic!("unexpected backend {other:?} in the grid"),
         }
@@ -122,7 +125,7 @@ fn backends_have_their_cost_signatures() {
 fn notified_runs_drain_exactly_once_per_callback() {
     for r in records().iter().filter(|r| r.backend == "notified-put") {
         assert_eq!(
-            r.cq_drains,
+            r.stats.cq_drains,
             r.callbacks,
             "{}: drained notifications != delivered callbacks",
             r.spec.app.label()

@@ -50,7 +50,7 @@ fn assert_recovered(m: &Machine, label: &str) {
     );
     let counts = m.fault_counts().expect("faults enabled");
     assert!(counts.total() > 0, "{label}: the plan never injected");
-    let rel = m.rel_stats();
+    let rel = m.stats().rel;
     assert!(
         rel.retries > 0,
         "{label}: drops were injected but nothing retransmitted: {counts:?}"
@@ -142,8 +142,8 @@ fn sharded_jacobi_converges_byte_identical_under_drops() {
         assert_eq!(grid, serial_grid, "{label}: grids diverged from serial");
         assert_eq!(res.total, serial_res.total, "{label}: completion time");
         assert_eq!(
-            m.rel_stats(),
-            serial.rel_stats(),
+            m.stats().rel,
+            serial.stats().rel,
             "{label}: retransmission schedule diverged from serial"
         );
         assert_eq!(
@@ -189,7 +189,7 @@ fn dedup_table_stays_o_links_over_a_long_faulty_pingpong() {
         .build();
     let r = charm_pingpong_on(&mut m, Variant::Ckd, BYTES, ITERS);
     assert_eq!(r.iters, ITERS);
-    assert!(m.rel_stats().retries > 0, "plan never bit");
+    assert!(m.stats().rel.retries > 0, "plan never bit");
     let (links, retained) = m.rel_dedup_footprint().expect("faults enabled");
     assert!(links <= 8 * 8, "dedup table tracks {links} links");
     // thousands of messages crossed the wire; anything still retained is
@@ -377,7 +377,7 @@ fn same_seed_reproduces_the_identical_faulty_run() {
             res.total,
             grid,
             m.fault_counts().unwrap(),
-            m.rel_stats(),
+            m.stats().rel,
             m.stats().clone(),
         )
     };
@@ -415,7 +415,7 @@ fn retransmits_never_inflate_app_visible_aggregates() {
         .build();
     run_jacobi_grid_on(&mut m, cfg);
     let (cs, fs) = (clean_m.stats(), m.stats());
-    assert!(m.rel_stats().retries > 0, "plan never bit");
+    assert!(m.stats().rel.retries > 0, "plan never bit");
     assert_eq!(fs.puts, cs.puts, "a retransmitted put still counts once");
     assert_eq!(fs.msgs_sent, cs.msgs_sent, "a retransmitted message too");
     assert_eq!(fs.msg_bytes, cs.msg_bytes);
@@ -457,7 +457,7 @@ fn degradation_threshold_flips_flaky_channels_to_rendezvous() {
         assert_eq!(grid, clean_grid, "degrade_after={degrade_after}");
         assert_eq!(res.residual.to_bits(), clean_res.residual.to_bits());
         assert_recovered(&m, &format!("degrade_after={degrade_after}"));
-        (res, m.rel_stats())
+        (res, m.stats().rel)
     };
 
     let (res, rel) = run(1);

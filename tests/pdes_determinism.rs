@@ -13,7 +13,7 @@ use ckd_apps::matmul3d::{run_matmul_on, MatmulCfg};
 use ckd_apps::openatom::{run_openatom_on, OpenAtomCfg};
 use ckd_apps::pingpong::charm_pingpong_on;
 use ckd_apps::{Platform, Variant};
-use ckd_charm::{chrome_trace_json, text_summary, FaultPlan, Machine, TraceConfig};
+use ckd_charm::{chrome_trace_json, FaultPlan, Machine, TraceConfig};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -101,7 +101,7 @@ fn traced(platform: Platform, shards: usize, run: Runner) -> Machine {
 fn exports(m: &Machine) -> (String, String, String) {
     (
         chrome_trace_json(m.tracer()).unwrap(),
-        text_summary(m.tracer()).unwrap(),
+        m.trace_summary().unwrap(),
         format!("{:#?}\n", m.stats()),
     )
 }
@@ -185,7 +185,7 @@ fn sharded_runs_reproduce_the_committed_golden_corpus() {
         );
         assert_eq!(
             golden("jacobi_ib.summary.txt"),
-            text_summary(ib.tracer()).unwrap(),
+            ib.trace_summary().unwrap(),
             "IB golden summary, shards={shards}"
         );
         assert_eq!(
@@ -207,7 +207,7 @@ fn sharded_runs_reproduce_the_committed_golden_corpus() {
         );
         assert_eq!(
             golden("jacobi_bgp.summary.txt"),
-            text_summary(bgp.tracer()).unwrap(),
+            bgp.trace_summary().unwrap(),
             "BG/P golden summary, shards={shards}"
         );
         assert_eq!(
@@ -229,7 +229,7 @@ fn sharded_runs_reproduce_the_committed_golden_corpus() {
         );
         assert_eq!(
             golden("jacobi_slingshot.summary.txt"),
-            text_summary(ss.tracer()).unwrap(),
+            ss.trace_summary().unwrap(),
             "Slingshot golden summary, shards={shards}"
         );
         assert_eq!(
@@ -255,7 +255,7 @@ fn sharded_faulty_run_reproduces_the_committed_golden_corpus() {
     );
     assert_eq!(
         golden("jacobi_ib_faulty.summary.txt"),
-        text_summary(m.tracer()).unwrap()
+        m.trace_summary().unwrap()
     );
     assert_eq!(
         golden("jacobi_ib_faulty.stats.txt"),
@@ -263,7 +263,7 @@ fn sharded_faulty_run_reproduces_the_committed_golden_corpus() {
     );
     assert_eq!(
         golden("jacobi_ib_faulty.rel.txt"),
-        format!("{:#?}\n", m.rel_stats())
+        format!("{:#?}\n", m.stats().rel)
     );
 }
 

@@ -307,8 +307,9 @@ fn registry_state_machine_is_total() {
                     }
                 }
                 Op::Sweep => {
-                    let s = reg.poll_sweep(Pe(1));
-                    assert!(s.deliveries.len() <= 1);
+                    let mut delivered = Vec::new();
+                    reg.poll_sweep_into(Pe(1), &mut delivered);
+                    assert!(delivered.len() <= 1);
                 }
                 Op::Ready => {
                     let _ = reg.ready(h);
@@ -351,8 +352,9 @@ fn registry_delivers_every_put_intact() {
             send.set_last_word(seed);
             reg.put(h, Pe(0)).unwrap();
             reg.land(h).unwrap();
-            let sweep = reg.poll_sweep(Pe(1));
-            assert_eq!(sweep.deliveries.len(), 1);
+            let mut delivered = Vec::new();
+            reg.poll_sweep_into(Pe(1), &mut delivered);
+            assert_eq!(delivered.len(), 1);
             assert_eq!(recv.last_word(), seed);
             assert_eq!(recv.read_f64s(0, 1)[0], i as f64);
             reg.ready(h).unwrap();
@@ -454,15 +456,15 @@ fn slab_registry_matches_a_naive_reference_model() {
                     // sweep: the ring plane must deliver exactly the landed
                     // channels, in enqueue order, and check every armed one
                     let armed = pollq.len();
-                    let out = reg.poll_sweep(Pe(1));
-                    assert_eq!(out.checked, armed, "case {case} step {step}");
+                    let mut delivered = Vec::new();
+                    let checked = reg.poll_sweep_into(Pe(1), &mut delivered);
+                    assert_eq!(checked, armed, "case {case} step {step}");
                     let want: Vec<ckdirect::HandleId> = pollq
                         .iter()
                         .copied()
                         .filter(|h| model[&(h.0 as u64)] == Phase::Landed)
                         .collect();
-                    let got: Vec<ckdirect::HandleId> =
-                        out.deliveries.iter().map(|&(h, _)| h).collect();
+                    let got: Vec<ckdirect::HandleId> = delivered.iter().map(|&(h, _)| h).collect();
                     assert_eq!(got, want, "case {case} step {step}: delivery order");
                     for h in &want {
                         model.insert(h.0 as u64, Phase::Delivered);
@@ -540,11 +542,12 @@ fn ring_sweep_order_matches_the_vec_pollq_reference() {
                     landed.push(h);
                 }
             }
-            let out = reg.poll_sweep(Pe(1));
-            assert_eq!(out.checked, vec_pollq.len(), "case {case} round {round}");
+            let mut delivered = Vec::new();
+            let checked = reg.poll_sweep_into(Pe(1), &mut delivered);
+            assert_eq!(checked, vec_pollq.len(), "case {case} round {round}");
             // the reference scan: walk the Vec in insertion order, deliver
             // landed channels, compact the rest in place
-            let got: Vec<ckdirect::HandleId> = out.deliveries.iter().map(|&(h, _)| h).collect();
+            let got: Vec<ckdirect::HandleId> = delivered.iter().map(|&(h, _)| h).collect();
             assert_eq!(got, landed, "case {case} round {round}: order diverged");
             vec_pollq.retain(|h| !landed.contains(h));
             idle.extend(landed);
@@ -761,7 +764,7 @@ fn misuse_is_reported_not_corrupted() {
     reg.put(h, Pe(0)).unwrap();
     assert_eq!(reg.put(h, Pe(0)).unwrap_err(), DirectError::PutInFlight);
     reg.land(h).unwrap();
-    reg.poll_sweep(Pe(1));
+    reg.poll_sweep_into(Pe(1), &mut Vec::new());
     // overwrite before ready
     assert_eq!(reg.put(h, Pe(0)).unwrap_err(), DirectError::Overwrite);
     reg.ready(h).unwrap();
@@ -849,7 +852,9 @@ fn strided_channel_moves_exactly_the_window() {
             .unwrap();
         reg.put(h, Pe(0)).unwrap();
         reg.land(h).unwrap();
-        assert_eq!(reg.poll_sweep(Pe(1)).deliveries.len(), 1);
+        let mut delivered = Vec::new();
+        reg.poll_sweep_into(Pe(1), &mut delivered);
+        assert_eq!(delivered.len(), 1);
         let sv = src.to_vec();
         let dv = dst.to_vec();
         for i in 0..backing_len {
@@ -1212,7 +1217,8 @@ fn bounded_cq_matches_an_unbounded_reference_model() {
                 1 => {
                     // drain a batch; order must be exactly the model's FIFO
                     let batch = rng.range(1, 5) as usize;
-                    let got = reg.cq_drain(Pe(1), batch);
+                    let mut got = Vec::new();
+                    reg.cq_drain_into(Pe(1), batch, &mut got);
                     assert_eq!(
                         got.len(),
                         batch.min(model.len()),

@@ -15,7 +15,7 @@ use ckd_apps::mutants::{run_mutant, MutantKind};
 use ckd_apps::openatom::{run_openatom_on, OpenAtomCfg};
 use ckd_apps::pingpong::charm_pingpong_on;
 use ckd_apps::{Platform, Variant};
-use ckd_charm::{chrome_trace_json, text_summary, Machine, TraceConfig};
+use ckd_charm::{chrome_trace_json, Machine, TraceConfig};
 use ckd_race::{RaceKind, SanitizerConfig};
 use ckd_sim::Time;
 
@@ -205,8 +205,8 @@ fn sanitizer_does_not_perturb_the_simulation() {
         "trace export must be byte-identical"
     );
     assert_eq!(
-        text_summary(off.tracer()).unwrap(),
-        text_summary(on.tracer()).unwrap(),
+        off.trace_summary().unwrap(),
+        on.trace_summary().unwrap(),
         "summary export must be byte-identical"
     );
 }

@@ -7,10 +7,8 @@
 use ckd_apps::jacobi3d::{run_jacobi_on, JacobiCfg};
 use ckd_apps::{Platform, Variant};
 use ckd_charm::{
-    chrome_trace_json, text_summary, validate_snapshot_jsonl, FaultPlan, Machine, ProfConfig,
-    TraceConfig,
+    chrome_trace_json, validate_snapshot_jsonl, FaultPlan, Machine, ProfConfig, TraceConfig,
 };
-use ckd_trace::ProtoClass;
 
 fn cfg() -> JacobiCfg {
     JacobiCfg {
@@ -50,22 +48,12 @@ fn identical_runs_export_identical_bytes() {
     let json_b = chrome_trace_json(b.tracer()).unwrap();
     assert_eq!(json_a, json_b, "chrome trace JSON must be byte-identical");
 
-    let sum_a = text_summary(a.tracer()).unwrap();
-    let sum_b = text_summary(b.tracer()).unwrap();
+    let sum_a = a.trace_summary().unwrap();
+    let sum_b = b.trace_summary().unwrap();
     assert_eq!(sum_a, sum_b, "text summary must be byte-identical");
 
     // metric-by-metric equality, not just formatting
     let (ma, mb) = (a.tracer().metrics().unwrap(), b.tracer().metrics().unwrap());
-    for class in ProtoClass::ALL {
-        let (sa, sb) = (ma.proto_stat(class), mb.proto_stat(class));
-        assert_eq!(sa.count, sb.count, "{class:?} count");
-        assert_eq!(sa.bytes, sb.bytes, "{class:?} bytes");
-        assert_eq!(
-            sa.latency_ns.sum(),
-            sb.latency_ns.sum(),
-            "{class:?} latency sum"
-        );
-    }
     assert_eq!(ma, mb, "full metrics registries must be identical");
     assert_eq!(a.tracer().dropped_total(), b.tracer().dropped_total());
     assert_eq!(a.stats(), b.stats());
@@ -85,25 +73,22 @@ fn identical_faulty_runs_export_identical_bytes() {
         chrome_trace_json(b.tracer()).unwrap(),
         "faulty chrome trace JSON must be byte-identical"
     );
-    let sum = text_summary(a.tracer()).unwrap();
+    let sum = a.trace_summary().unwrap();
     assert_eq!(
         sum,
-        text_summary(b.tracer()).unwrap(),
+        b.trace_summary().unwrap(),
         "faulty text summary must be byte-identical"
     );
     assert_eq!(a.fault_counts(), b.fault_counts());
-    assert_eq!(a.rel_stats(), b.rel_stats());
+    assert_eq!(a.stats().rel, b.stats().rel);
     assert_eq!(a.stats(), b.stats());
     // the run actually exercised the recovery machinery, and the summary
     // says so
-    assert!(a.rel_stats().retries > 0, "plan never bit");
+    assert!(a.stats().rel.retries > 0, "plan never bit");
     assert!(
         sum.contains("-- reliability --"),
         "summary hides the faults"
     );
-    let m = a.tracer().metrics().unwrap();
-    assert_eq!(m.drops, a.rel_stats().drops_injected);
-    assert_eq!(m.retries, a.rel_stats().retries);
 }
 
 /// Zero-cost-off, proven at the byte level: an *inert* plan (reliability
@@ -121,8 +106,8 @@ fn inert_plan_exports_match_a_fault_free_machine() {
         "an inert plan must not perturb a single timestamp"
     );
     assert_eq!(
-        text_summary(plain.tracer()).unwrap(),
-        text_summary(inert.tracer()).unwrap()
+        plain.trace_summary().unwrap(),
+        inert.trace_summary().unwrap()
     );
     assert_eq!(
         plain.tracer().metrics().unwrap(),
@@ -132,7 +117,7 @@ fn inert_plan_exports_match_a_fault_free_machine() {
     // app-visible aggregates agree; only the ack bookkeeping differs
     assert_eq!(plain.stats().puts, inert.stats().puts);
     assert_eq!(plain.stats().msgs_sent, inert.stats().msgs_sent);
-    assert_eq!(inert.rel_stats().retries, 0);
+    assert_eq!(inert.stats().rel.retries, 0);
 }
 
 // ---- self-profiler determinism ----------------------------------------
@@ -149,8 +134,8 @@ fn profiled_run() -> Machine {
 
 /// Everything the profiler derives from *virtual* time is as deterministic
 /// as the machine itself: two profiled runs emit byte-identical snapshot
-/// JSONL and identical latency/batch/depth histograms. (Phase wall-clock
-/// totals are host noise and deliberately excluded.)
+/// JSONL and identical queue-depth histograms. (Phase wall-clock totals
+/// are host noise and deliberately excluded.)
 #[test]
 fn profiled_runs_emit_identical_snapshots() {
     let a = profiled_run();
@@ -163,13 +148,9 @@ fn profiled_runs_emit_identical_snapshots() {
     assert!(lines > 0, "profiled jacobi emitted no snapshots");
 
     let (sa, sb) = (a.profiler().shard().unwrap(), b.profiler().shard().unwrap());
-    assert_eq!(sa.put_lat_ns, sb.put_lat_ns, "put-latency histogram");
-    assert_eq!(sa.poll_batch, sb.poll_batch, "poll-batch histogram");
     assert_eq!(sa.queue_depth, sb.queue_depth, "queue-depth histogram");
     assert_eq!(sa.events, sb.events);
-    assert_eq!(sa.puts, sb.puts);
     assert_eq!(sa.events, a.stats().events, "profiler missed events");
-    assert_eq!(sa.puts, a.stats().puts, "profiler missed puts");
 }
 
 /// The profiler is an observer: enabling it must not perturb a single
@@ -187,8 +168,8 @@ fn profiling_does_not_perturb_traced_exports() {
         "profiling changed the chrome trace"
     );
     assert_eq!(
-        text_summary(plain.tracer()).unwrap(),
-        text_summary(profiled.tracer()).unwrap(),
+        plain.trace_summary().unwrap(),
+        profiled.trace_summary().unwrap(),
         "profiling changed the text summary"
     );
     assert_eq!(
@@ -241,7 +222,7 @@ fn golden_ib_run_matches_pre_refactor_runtime() {
         "jacobi_ib.trace.json",
         &chrome_trace_json(m.tracer()).unwrap(),
     );
-    golden_check("jacobi_ib.summary.txt", &text_summary(m.tracer()).unwrap());
+    golden_check("jacobi_ib.summary.txt", &m.trace_summary().unwrap());
     golden_check("jacobi_ib.stats.txt", &format!("{:#?}\n", m.stats()));
 }
 
@@ -252,7 +233,7 @@ fn golden_bgp_run_matches_pre_refactor_runtime() {
         "jacobi_bgp.trace.json",
         &chrome_trace_json(m.tracer()).unwrap(),
     );
-    golden_check("jacobi_bgp.summary.txt", &text_summary(m.tracer()).unwrap());
+    golden_check("jacobi_bgp.summary.txt", &m.trace_summary().unwrap());
     golden_check("jacobi_bgp.stats.txt", &format!("{:#?}\n", m.stats()));
 }
 
@@ -273,15 +254,12 @@ fn slingshot_traced_run() -> Machine {
 fn golden_slingshot_run_matches_committed_corpus() {
     let m = slingshot_traced_run();
     assert_eq!(m.backend().name(), "notified-put");
-    assert!(m.cq_drain_total() > 0, "run never drained a notification");
+    assert!(m.stats().cq_drains > 0, "run never drained a notification");
     golden_check(
         "jacobi_slingshot.trace.json",
         &chrome_trace_json(m.tracer()).unwrap(),
     );
-    golden_check(
-        "jacobi_slingshot.summary.txt",
-        &text_summary(m.tracer()).unwrap(),
-    );
+    golden_check("jacobi_slingshot.summary.txt", &m.trace_summary().unwrap());
     golden_check("jacobi_slingshot.stats.txt", &format!("{:#?}\n", m.stats()));
 }
 
@@ -292,14 +270,11 @@ fn golden_faulty_run_matches_pre_refactor_runtime() {
         "jacobi_ib_faulty.trace.json",
         &chrome_trace_json(m.tracer()).unwrap(),
     );
-    golden_check(
-        "jacobi_ib_faulty.summary.txt",
-        &text_summary(m.tracer()).unwrap(),
-    );
+    golden_check("jacobi_ib_faulty.summary.txt", &m.trace_summary().unwrap());
     golden_check("jacobi_ib_faulty.stats.txt", &format!("{:#?}\n", m.stats()));
     golden_check(
         "jacobi_ib_faulty.rel.txt",
-        &format!("{:#?}\n", m.rel_stats()),
+        &format!("{:#?}\n", m.stats().rel),
     );
 }
 
@@ -315,7 +290,7 @@ fn exports_are_wellformed() {
     assert_eq!(json.matches('[').count(), json.matches(']').count());
     assert!(json.contains("\"thread_name\""), "one named track per PE");
 
-    let summary = text_summary(m.tracer()).unwrap();
+    let summary = m.trace_summary().unwrap();
     assert!(summary.contains("transfers by protocol"));
     assert!(summary.contains("rdma-put"));
     assert!(summary.contains("issue→callback completions"));
