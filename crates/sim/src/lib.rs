@@ -11,11 +11,11 @@
 //!   randomness flows through [`rng::DetRng`] seeded streams.
 //! * **No wall-clock leakage** — nothing in this crate reads the host clock;
 //!   virtual results are independent of the machine running the simulation.
-//! * **Cheap events** — the queue is a hand-rolled min-heap of packed
-//!   `time << 64 | seq` keys over a freelist-recycled payload slab, so sifts
-//!   compare one integer and never move a payload; payloads are generic so
-//!   higher layers can use plain enums instead of boxed closures on the hot
-//!   path.
+//! * **Cheap events** — the queue coalesces same-timestamp pushes into
+//!   FIFO runs under a min-heap of 16-byte run entries, so a burst at one
+//!   instant costs one heap entry and sifts never move a payload; payloads
+//!   are generic so higher layers can use plain enums instead of boxed
+//!   closures on the hot path.
 
 pub mod events;
 pub mod fault;

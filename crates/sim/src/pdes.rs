@@ -2,7 +2,7 @@
 //!
 //! `ckd-sweep` parallelizes *across* runs; this module parallelizes *within*
 //! one. PEs are partitioned into shards ([`ShardMap`]), each shard owns its
-//! own slab-backed [`EventQueue`] hosted on a dedicated OS thread, and the
+//! own [`EventQueue`] hosted on a dedicated OS thread, and the
 //! coordinator advances virtual time in rounds bounded by a safe window
 //! ([`Lookahead`]) derived from the network model's minimum cross-node link
 //! latency — the classic null-message/safe-window design, with the progress
@@ -11,8 +11,8 @@
 //!
 //! # Why pop order is byte-identical to the serial queue
 //!
-//! The serial scheduler's total order is the packed `(time, seq)` key, where
-//! `seq` is assigned at push time by one monotone counter. The sharded
+//! The serial scheduler's total order is the lexicographic `(time, seq)`
+//! key, where `seq` is assigned at push time by one monotone counter. The sharded
 //! engine keeps **that same single counter** in the coordinator: every push
 //! is stamped before it is routed, and shard heaps store the caller-supplied
 //! key via [`EventQueue::push_at_seq`]. Serving then always returns the
@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 
-use crate::events::{key_time, pack, EventQueue};
+use crate::events::EventQueue;
 use crate::time::Time;
 
 /// Static PE → shard assignment. Shards must be node-aligned for the safe
@@ -356,10 +356,10 @@ impl<E> ShardedEngine<E> {
             // batches and the spill heap (gated below the cutoff: residue
             // spilled for a *later* window must wait its round).
             let spill_src = self.batches.len();
-            let mut best: Option<(u128, usize)> = None;
+            let mut best: Option<((Time, u64), usize)> = None;
             for (i, b) in self.batches.iter().enumerate() {
                 if let Some(&(t, s, _)) = b.front() {
-                    let key = pack(t, s);
+                    let key = (t, s);
                     if best.is_none_or(|(k, _)| key < k) {
                         best = Some((key, i));
                     }
@@ -367,17 +367,16 @@ impl<E> ShardedEngine<E> {
             }
             if let Some((t, s)) = self.spill.peek_key() {
                 if t < cutoff {
-                    let key = pack(t, s);
+                    let key = (t, s);
                     if best.is_none_or(|(k, _)| key < k) {
                         best = Some((key, spill_src));
                     }
                 }
             }
-            let Some((key, src)) = best else {
+            let Some(((at, _), src)) = best else {
                 self.cutoff = None;
                 continue;
             };
-            let at = key_time(key);
             if at > limit {
                 return None;
             }

@@ -74,28 +74,44 @@ fn event_queue_is_a_stable_time_sort() {
 }
 
 /// Reference implementation: the naive `BinaryHeap<Reverse<(Time, seq)>>`
-/// the optimized queue replaced. The slab/packed-key queue must pop in
+/// the optimized queue replaced. The run-coalescing queue must pop in
 /// *exactly* this `(time, seqno)` order for arbitrary interleaved
-/// push/pop streams — including bursts of identical timestamps, where
-/// only the seqno tiebreak separates events.
+/// push/pop/`pop_before` streams. The generator draws timestamps in three
+/// shapes: spread over a 50 ns window; clustered on a few instants, so
+/// long same-timestamp runs form; and spread so wide that more timestamps
+/// are pending than the queue's run table has slots (256), so table
+/// collisions are certain. Every shape also pushes at the horizon, i.e.
+/// into the run that is draining, where only the seqno tiebreak separates
+/// events.
 #[test]
 fn event_queue_matches_the_reference_binary_heap() {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
     let mut rng = DetRng::new(0xBEEF_CAFE).stream("event-queue-reference");
-    for case in 0..CASES {
+    for case in 0..CASES * 3 {
+        let shape = case % 3;
         let mut q = ckd_sim::EventQueue::new();
         let mut reference: BinaryHeap<Reverse<(Time, u64, u32)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64; // horizon in ns, to keep pushes causal
         let mut next_id = 0u32;
-        let ops = rng.range(10, 300);
+        let ops = match shape {
+            2 => rng.range(600, 1500),
+            _ => rng.range(10, 300),
+        };
         for _ in 0..ops {
-            if rng.chance(0.6) || reference.is_empty() {
+            let roll = rng.range(0, 100);
+            if roll < 60 || reference.is_empty() {
                 // same-timestamp bursts: several events at one instant
                 let burst = if rng.chance(0.3) { rng.range(2, 20) } else { 1 };
-                let at = Time::from_ns(now + rng.range(0, 50));
+                let ahead = match shape {
+                    0 => rng.range(0, 50),
+                    1 => rng.range(0, 4) * 10,
+                    _ => rng.range(0, 1 << 14),
+                };
+                let ahead = if rng.chance(0.15) { 0 } else { ahead };
+                let at = Time::from_ns(now + ahead);
                 for _ in 0..burst {
                     q.push(at, next_id);
                     reference.push(Reverse((at, seq, next_id)));
@@ -103,13 +119,25 @@ fn event_queue_matches_the_reference_binary_heap() {
                     next_id += 1;
                 }
             } else {
-                let got = q.pop();
-                let want = reference.pop().map(|Reverse((t, _, id))| (t, id));
+                // a plain pop, or the scheduler's bounded pop
+                let limit = if roll < 85 {
+                    Time::MAX
+                } else {
+                    Time::from_ns(now + rng.range(0, 30))
+                };
+                let got = q.pop_before(limit);
+                let want = match reference.peek() {
+                    Some(Reverse((t, _, _))) if *t <= limit => {
+                        reference.pop().map(|Reverse((t, _, id))| (t, id))
+                    }
+                    _ => None,
+                };
                 assert_eq!(got, want, "case {case}: pop order diverged");
                 if let Some((t, _)) = got {
                     now = t.as_ps() / 1000; // ns
                 }
             }
+            assert_eq!(q.len(), reference.len(), "case {case}");
         }
         // drain both completely
         loop {
@@ -925,6 +953,64 @@ fn any_reorder_policy_schedule_is_a_valid_in_window_permutation() {
         assert!(remaining.is_empty(), "case {case}");
         popped.sort_unstable();
         assert_eq!(popped, (0..n).collect::<Vec<_>>(), "case {case}");
+    }
+}
+
+/// [`ChaosPolicy`] over clustered input: few instants, long same-time
+/// runs, and pushes landing in the run being drained (at or behind the
+/// high-water mark, as a reordered handler may schedule them). Every pop
+/// must stay in the window anchored at the pending minimum, and the drain
+/// must be a permutation of everything pushed.
+#[test]
+fn reorder_policy_permutes_clustered_runs_validly() {
+    let mut rng = DetRng::new(0xC1C5).stream("reorder-clustered");
+    for case in 0..CASES {
+        let window = Time::from_ns(rng.range(0, 3) * 10);
+        let mut q = ckd_sim::EventQueue::new();
+        q.set_policy(Box::new(ChaosPolicy {
+            rng: DetRng::new(0x5EED ^ case as u64).stream("chaos"),
+            window,
+        }));
+        let mut remaining: Vec<Time> = Vec::new();
+        let mut popped = Vec::new();
+        let mut pushed = 0usize;
+        let mut last = 0u64;
+        for _ in 0..rng.range(20, 200) {
+            if rng.chance(0.55) || remaining.is_empty() {
+                let ns = if rng.chance(0.3) {
+                    last
+                } else {
+                    last + rng.range(0, 4) * 10
+                };
+                for _ in 0..rng.range(1, 12) {
+                    q.push_tagged(Time::from_ns(ns), pushed as u64 + 1, pushed);
+                    remaining.push(Time::from_ns(ns));
+                    pushed += 1;
+                }
+            } else {
+                let (t, i) = q.pop().expect("queue and model agree");
+                let min = *remaining.iter().min().expect("non-empty");
+                assert!(
+                    t.as_ps() <= min.as_ps() + window.as_ps(),
+                    "case {case}: popped {}ps with min {}ps window {}ps",
+                    t.as_ps(),
+                    min.as_ps(),
+                    window.as_ps()
+                );
+                let at = remaining.iter().position(|&r| r == t).expect("pending");
+                remaining.swap_remove(at);
+                popped.push(i);
+                last = t.as_ps() / 1000;
+            }
+        }
+        while let Some((t, i)) = q.pop() {
+            let at = remaining.iter().position(|&r| r == t).expect("pending");
+            remaining.swap_remove(at);
+            popped.push(i);
+        }
+        assert!(remaining.is_empty(), "case {case}");
+        popped.sort_unstable();
+        assert_eq!(popped, (0..pushed).collect::<Vec<_>>(), "case {case}");
     }
 }
 
