@@ -20,7 +20,9 @@
 //! the paper — but the simulator's *host* cost per sweep is O(`active`):
 //! only the ready rings are walked. `ckd-sweep channels` runs this
 //! workload across 1k→100k registered channels with a fixed active count
-//! and gates on that flatness (`BENCH_channels.json`).
+//! (`BENCH_channels.json`, virtual-time results only); `ckd-perf` times
+//! the sweep itself at 1k and 100k armed channels, and `scripts/check.sh`
+//! gates on that pair staying flat.
 
 use ckd_charm::{ArrayId, Chare, Ctx, EntryId, Machine, Msg, PutOutcome};
 use ckd_sim::Time;

@@ -3,8 +3,9 @@
 //! * the real-thread `DirectChannel` data path (put + poll + arm) against a
 //!   conventional queue+dispatch message path — the host-machine analogue
 //!   of Table 1's CkDirect-vs-messages comparison;
-//! * the discrete-event queue;
-//! * the full simulated scheduler (virtual-events per wall second).
+//! * the discrete-event queue.
+//!
+//! Whole simulated runs are timed by `ckd-perf`, not here.
 //!
 //! A small self-contained timing harness (median of repeated batches)
 //! replaces an external benchmark framework so the workspace builds with no
@@ -12,8 +13,6 @@
 
 use std::time::Instant;
 
-use ckd_apps::pingpong::charm_pingpong;
-use ckd_apps::{Platform, Variant};
 use ckd_sim::{EventQueue, Time};
 use ckdirect::direct;
 
@@ -90,24 +89,7 @@ fn bench_event_queue() {
     println!();
 }
 
-fn bench_simulator() {
-    println!("-- simulator (wall ms per 100x1KB pingpong) --");
-    for (label, variant) in [("msg", Variant::Msg), ("ckd", Variant::Ckd)] {
-        let ns = time_ns(5, 3, || {
-            std::hint::black_box(charm_pingpong(
-                Platform::IbAbe { cores_per_node: 2 },
-                variant,
-                1024,
-                100,
-            ));
-        });
-        println!("charm_pingpong_{label}_100x1KB: {:.2} ms", ns / 1e6);
-    }
-    println!();
-}
-
 fn main() {
     bench_direct_channel();
     bench_event_queue();
-    bench_simulator();
 }

@@ -21,14 +21,80 @@ pub mod chanstorm;
 pub mod sweep;
 
 pub use chanstorm::{
-    channels_json, run_storm_point, validate_channels_json, StormPoint, CHANNELS_SCHEMA,
-    STORM_ACTIVE, STORM_ITERS, STORM_REGISTERED,
+    channels_json, run_storm_point, validate_channels_json, CHANNELS_SCHEMA, STORM_ACTIVE,
+    STORM_ITERS, STORM_REGISTERED,
 };
 pub use sweep::{
     backends_grid, fig2a_grid, fig3b_grid, run_sweep, run_sweep_with, smoke_grid, sweep64_grid,
-    sweep_json, table1_grid, validate_sweep_json, AppCase, BackendSel, HostReport, RunRecord,
-    RunSpec, SCHEMA,
+    sweep_json, table1_grid, validate_sweep_json, AppCase, BackendSel, RunRecord, RunSpec, SCHEMA,
 };
+
+/// One committed `BENCH_*.json` file and the `ckd-sweep` command that
+/// regenerates it. Every byte of every such file is a pure function of
+/// the code; tier-1 regenerates all of them and byte-compares.
+pub struct BenchFile {
+    /// `ckd-sweep` subcommand that writes the file.
+    pub command: &'static str,
+    /// The file's `name`; it lives at `BENCH_<name>.json`.
+    pub name: &'static str,
+    /// The sweep grid, or `None` for the channel storm (a fixed
+    /// [`STORM_REGISTERED`] axis, not a sweep).
+    pub grid: Option<fn() -> Vec<RunSpec>>,
+}
+
+/// Every committed `BENCH_*.json` file, in `ckd-sweep` usage order.
+pub const BENCH_FILES: [BenchFile; 6] = [
+    BenchFile::new("sweep64", "sweep", Some(sweep64_grid)),
+    BenchFile::new("table1", "table1", Some(table1_grid)),
+    BenchFile::new("jacobi", "jacobi", Some(fig2a_grid)),
+    BenchFile::new("matmul", "matmul", Some(fig3b_grid)),
+    BenchFile::new("backends", "backends", Some(backends_grid)),
+    BenchFile::new("channels", "channels", None),
+];
+
+impl BenchFile {
+    const fn new(
+        command: &'static str,
+        name: &'static str,
+        grid: Option<fn() -> Vec<RunSpec>>,
+    ) -> Self {
+        Self {
+            command,
+            name,
+            grid,
+        }
+    }
+
+    /// Path of the file, relative to the repository root.
+    pub fn path(&self) -> String {
+        format!("BENCH_{}.json", self.name)
+    }
+
+    /// The file's full text, computed with `workers` sweep threads (the
+    /// bytes do not depend on the count). `shards: Some(n)` runs every
+    /// grid point on the `n`-shard PDES engine instead, which changes only
+    /// the per-run `shards`/`pdes_rounds` fields.
+    pub fn render(&self, workers: usize, shards: Option<usize>) -> String {
+        match self.grid {
+            Some(g) => {
+                let mut grid = g();
+                if let Some(n) = shards {
+                    grid.iter_mut().for_each(|s| s.shards = n);
+                }
+                sweep_json(self.name, &run_sweep(&grid, workers))
+            }
+            None => channels_json(&STORM_REGISTERED.map(run_storm_point)),
+        }
+    }
+
+    /// Schema-check a text claiming to be this file.
+    pub fn validate(&self, text: &str) -> Result<(), String> {
+        match self.grid {
+            Some(_) => validate_sweep_json(text),
+            None => validate_channels_json(text),
+        }
+    }
+}
 
 /// True when `CKD_TRACE=1` asks benches to collect traces.
 pub fn tracing_requested() -> bool {

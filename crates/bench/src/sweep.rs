@@ -9,15 +9,14 @@
 //! [`RunRecord`]. Records are merged in grid order, so the sweep output is
 //! byte-identical regardless of worker count — including one — and
 //! identical to a hand-rolled serial loop over the same grid. The host's
-//! only influence is wall-clock, which is reported separately
-//! ([`HostReport`]) and never mixed into the deterministic results.
+//! only influence is wall-clock, which nothing here records: host
+//! throughput is `ckd-perf`'s to measure.
 //!
 //! The `ckd-sweep` bin drives the paper-figure grids defined here and
-//! writes the repo's `BENCH_*.json` trajectory files.
+//! writes the repo's `BENCH_*.json` result files.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::time::Instant;
 
 use ckd_apps::jacobi3d::{run_jacobi_on, JacobiCfg};
 use ckd_apps::matmul3d::{run_matmul_on, MatmulCfg};
@@ -151,10 +150,10 @@ pub struct RunSpec {
 /// when the run was profiled, the host-side profile riding along.
 ///
 /// Equality compares only the deterministic fields (spec, virtual-time
-/// metrics, counters, and the snapshot stream); `host_ns` and the
-/// wall-clock parts of `prof` legitimately vary across hosts and worker
-/// counts and are excluded, so the determinism suite can keep asserting
-/// whole-record equality across worker counts.
+/// metrics, counters, and the snapshot stream); the wall-clock parts of
+/// `prof` legitimately vary across hosts and worker counts and are
+/// excluded, so the determinism suite can keep asserting whole-record
+/// equality across worker counts.
 #[derive(Clone, Debug, Eq)]
 pub struct RunRecord {
     /// The grid point that produced this record.
@@ -180,9 +179,6 @@ pub struct RunRecord {
     /// The run's JSONL snapshot stream when profiling was on
     /// (deterministic, so it participates in equality).
     pub snapshots: Option<String>,
-    /// Wall-clock of this run on the executing worker, nanoseconds
-    /// (host-side; excluded from equality).
-    pub host_ns: u64,
     /// The run's profiler shard when profiling was on (wall-clock phase
     /// table is host-side; excluded from equality — the deterministic
     /// histograms inside are compared explicitly by the tests).
@@ -215,7 +211,6 @@ impl RunSpec {
     /// [`RunSpec::execute`] with optional self-profiling: the record then
     /// carries the run's [`ProfShard`] and snapshot JSONL.
     pub fn execute_with(&self, prof: Option<ProfConfig>) -> RunRecord {
-        let t0 = Instant::now();
         let mut b = self
             .platform
             .builder(self.pes)
@@ -295,7 +290,6 @@ impl RunSpec {
             pdes_rounds: m.pdes_stats().map_or(0, |s| s.rounds),
             backend: m.backend().name(),
             snapshots: m.profiler().snapshots_jsonl().map(str::to_string),
-            host_ns: t0.elapsed().as_nanos() as u64,
             prof: m.profiler().shard().cloned(),
         }
     }
@@ -361,28 +355,13 @@ fn platform_label(p: Platform) -> String {
     }
 }
 
-/// Host-side (non-deterministic) measurements attached to a sweep file.
-#[derive(Clone, Copy, Debug)]
-pub struct HostReport {
-    /// Worker threads used for the recorded run.
-    pub workers: usize,
-    /// Wall-clock of the recorded (parallel) run, nanoseconds.
-    pub wall_ns: u128,
-    /// Wall-clock of a one-worker serial pass over the same grid, when
-    /// one was measured.
-    pub serial_wall_ns: Option<u128>,
-    /// `available_parallelism` of the measuring host.
-    pub cores: usize,
-}
-
 /// Render the merged sweep as JSON.
 ///
-/// Everything except the optional `host` object is a pure function of the
-/// grid: integer picosecond metrics and counters, one run per line, grid
-/// order. Determinism tests compare this string byte-for-byte across
-/// worker counts; `host` carries the wall-clock story and is excluded
-/// from those comparisons by passing `None`.
-pub fn sweep_json(name: &str, records: &[RunRecord], host: Option<&HostReport>) -> String {
+/// The text is a pure function of the grid: integer picosecond metrics
+/// and counters, one run per line, grid order. Determinism tests compare
+/// it byte-for-byte across worker counts, and tier-1 compares it with the
+/// committed `BENCH_*.json` files.
+pub fn sweep_json(name: &str, records: &[RunRecord]) -> String {
     let mut out = String::with_capacity(records.len() * 256 + 512);
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
@@ -426,41 +405,7 @@ pub fn sweep_json(name: &str, records: &[RunRecord], host: Option<&HostReport>) 
             if i + 1 == records.len() { "" } else { "," },
         ));
     }
-    out.push_str("  ]");
-    if let Some(h) = host {
-        let events: u64 = records.iter().map(|r| r.stats.events).sum();
-        let puts: u64 = records.iter().map(|r| r.stats.puts).sum();
-        let secs = (h.wall_ns.max(1)) as f64 / 1e9;
-        out.push_str(",\n  \"host\": {\n");
-        out.push_str(&format!("    \"workers\": {},\n", h.workers));
-        out.push_str(&format!("    \"cores\": {},\n", h.cores));
-        out.push_str(&format!(
-            "    \"wall_ms\": {:.3},\n",
-            h.wall_ns as f64 / 1e6
-        ));
-        out.push_str(&format!(
-            "    \"events_per_sec\": {:.0},\n",
-            events as f64 / secs
-        ));
-        out.push_str(&format!(
-            "    \"puts_per_sec\": {:.0},\n",
-            puts as f64 / secs
-        ));
-        if let Some(serial) = h.serial_wall_ns {
-            out.push_str(&format!(
-                "    \"serial_wall_ms\": {:.3},\n",
-                serial as f64 / 1e6
-            ));
-            out.push_str(&format!(
-                "    \"speedup_vs_serial\": {:.2}\n",
-                serial as f64 / h.wall_ns.max(1) as f64
-            ));
-        } else {
-            out.push_str("    \"serial_wall_ms\": null\n");
-        }
-        out.push_str("  }");
-    }
-    out.push_str("\n}\n");
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -483,13 +428,10 @@ const RUN_KEYS: [&str; 15] = [
     "\"cq_drains\"",
 ];
 
-/// Host-block keys the bench gate reads; required whenever a file
-/// carries a `"host"` object at all.
-const HOST_KEYS: [&str; 2] = ["\"events_per_sec\"", "\"puts_per_sec\""];
-
 /// Structural check of a `BENCH_*.json` sweep file: the [`SCHEMA`] tag,
-/// balanced delimiters, and every per-run key on every run line — errors
-/// name the missing field. Deliberately parser-free (the workspace is
+/// balanced delimiters, every per-run key on every run line — errors
+/// name the missing field — and no `host` object (host numbers come from
+/// `ckd-perf` alone). Deliberately parser-free (the workspace is
 /// std-only), like the trace-export sanity tests.
 pub fn validate_sweep_json(s: &str) -> Result<(), String> {
     if !s.starts_with(&format!("{{\n  \"schema\": \"{SCHEMA}\"")) {
@@ -516,14 +458,10 @@ pub fn validate_sweep_json(s: &str) -> Result<(), String> {
             return Err(format!("{SCHEMA}: missing key {key} ({n}/{runs} runs)"));
         }
     }
-    // the host block is optional, but when present it must carry the
-    // throughput metrics the bench gate reads
-    if s.contains("\"host\": {") {
-        for key in HOST_KEYS {
-            if !s.contains(key) {
-                return Err(format!("{SCHEMA}: host block missing {key}"));
-            }
-        }
+    if s.contains("\"host\"") {
+        return Err(format!(
+            "{SCHEMA}: host object found; host numbers come from ckd-perf"
+        ));
     }
     Ok(())
 }
@@ -691,7 +629,7 @@ pub fn fig3b_grid() -> Vec<RunSpec> {
     grid
 }
 
-/// A tiny mixed grid for CI smoke checks and the determinism suite:
+/// A tiny mixed grid for the determinism suite and the unit tests:
 /// every app, both a clean and a faulty point, seconds to run. The clean
 /// Jacobi point runs sharded (`shards = 2`) so the PDES path is on every
 /// smoke sweep too — its record must be indistinguishable from a serial
@@ -843,27 +781,15 @@ mod tests {
     #[test]
     fn emitted_json_passes_its_own_schema_check() {
         let grid = [smoke_grid()[0], smoke_grid()[1]];
-        let records = run_sweep(&grid, 1);
-        let plain = sweep_json("unit", &records, None);
-        validate_sweep_json(&plain).unwrap();
-        let host = HostReport {
-            workers: 2,
-            wall_ns: 1_000_000,
-            serial_wall_ns: Some(2_000_000),
-            cores: 4,
-        };
-        let with_host = sweep_json("unit", &records, Some(&host));
-        validate_sweep_json(&with_host).unwrap();
-        assert!(with_host.contains("\"speedup_vs_serial\": 2.00"));
-        // host info must be an append-only suffix concern: the
-        // deterministic prefix is shared
-        assert!(with_host.starts_with(plain.trim_end_matches("\n}\n")));
+        let json = sweep_json("unit", &run_sweep(&grid, 1));
+        validate_sweep_json(&json).unwrap();
+        assert!(json.ends_with("  ]\n}\n"), "the runs array closes the file");
     }
 
     #[test]
     fn schema_check_rejects_mangled_files() {
         let records = run_sweep(&[smoke_grid()[0]], 1);
-        let good = sweep_json("unit", &records, None);
+        let good = sweep_json("unit", &records);
         // one schema version: older (and unknown) tags are refused
         for old in ["ckd-sweep/v0", "ckd-sweep/v1", "ckd-sweep/v3"] {
             let e = validate_sweep_json(&good.replace(SCHEMA, old)).unwrap_err();
@@ -879,31 +805,6 @@ mod tests {
         }
         assert!(validate_sweep_json(&good.replace('}', "")).is_err());
         assert!(validate_sweep_json("{\n}").is_err());
-    }
-
-    /// The bench gate reads `events_per_sec`/`puts_per_sec` from the host
-    /// block; a file whose host block lost them must fail validation.
-    #[test]
-    fn schema_check_requires_throughput_in_host_blocks() {
-        let records = run_sweep(&[smoke_grid()[0]], 1);
-        let host = HostReport {
-            workers: 2,
-            wall_ns: 1_000_000,
-            serial_wall_ns: Some(2_000_000),
-            cores: 4,
-        };
-        let file = sweep_json("unit", &records, Some(&host));
-        validate_sweep_json(&file).unwrap();
-        let gutted: String = file
-            .lines()
-            .filter(|l| !l.contains("\"events_per_sec\""))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let e = validate_sweep_json(&gutted).unwrap_err();
-        assert!(
-            e.contains("\"events_per_sec\""),
-            "error must name the missing host metric: {e}"
-        );
     }
 
     #[test]
@@ -923,7 +824,7 @@ mod tests {
         let r = shm.execute();
         assert_eq!(r.backend, "shared-mem", "BackendSel::SharedMem override");
         assert_eq!(r.stats.cq_drains, 0);
-        let json = sweep_json("unit", &[r], None);
+        let json = sweep_json("unit", &[r]);
         assert!(json.contains("\"backend\": \"shared-mem\", \"cq_drains\": 0"));
         validate_sweep_json(&json).unwrap();
     }

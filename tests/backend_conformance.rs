@@ -9,7 +9,7 @@
 //!
 //! The suite drives the four apps through `ckd_bench::backends_grid()`
 //! (the grid behind `BENCH_backends.json`), so what CI proves here is
-//! exactly what the committed trajectory file records.
+//! exactly what the committed result file records.
 
 use std::sync::OnceLock;
 
@@ -135,7 +135,7 @@ fn notified_runs_drain_exactly_once_per_callback() {
 
 #[test]
 fn backend_grid_json_round_trips_the_schema() {
-    let json = sweep_json("backends", records(), None);
+    let json = sweep_json("backends", records());
     validate_sweep_json(&json).unwrap();
     assert_eq!(json.matches("\"backend\": \"notified-put\"").count(), 4);
     assert_eq!(json.matches("\"platform\": \"slingshot\"").count(), 4);

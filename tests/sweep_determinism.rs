@@ -20,13 +20,13 @@ fn baseline() -> Vec<RunRecord> {
 fn merged_output_is_byte_identical_across_worker_counts() {
     let grid = smoke_grid();
     let base = baseline();
-    let base_json = sweep_json("smoke", &base, None);
+    let base_json = sweep_json("smoke", &base);
     validate_sweep_json(&base_json).unwrap();
 
     for workers in [2usize, 4, 8] {
         let records = run_sweep(&grid, workers);
         assert_eq!(
-            sweep_json("smoke", &records, None),
+            sweep_json("smoke", &records),
             base_json,
             "{workers}-worker sweep JSON diverged from 1 worker"
         );
@@ -56,8 +56,8 @@ fn engine_matches_a_hand_rolled_serial_loop() {
         );
     }
     assert_eq!(
-        sweep_json("smoke", &by_hand, None),
-        sweep_json("smoke", &run_sweep(&grid, 2), None)
+        sweep_json("smoke", &by_hand),
+        sweep_json("smoke", &run_sweep(&grid, 2))
     );
 }
 
@@ -70,12 +70,12 @@ fn engine_matches_a_hand_rolled_serial_loop() {
 fn backend_grid_is_byte_identical_across_worker_counts() {
     let grid = backends_grid();
     let base = run_sweep(&grid, 1);
-    let base_json = sweep_json("backends", &base, None);
+    let base_json = sweep_json("backends", &base);
     validate_sweep_json(&base_json).unwrap();
     for workers in [2usize, 4] {
         let records = run_sweep(&grid, workers);
         assert_eq!(
-            sweep_json("backends", &records, None),
+            sweep_json("backends", &records),
             base_json,
             "{workers}-worker backend grid diverged"
         );
@@ -119,8 +119,7 @@ fn profiled_sweep_is_deterministic_across_worker_counts() {
     for workers in [2usize, 4, 8] {
         let records = run_sweep_with(&grid, workers, Some(cfg));
         // RunRecord equality covers the deterministic fields, snapshot
-        // streams included (host_ns and the wall-clock shard are excluded
-        // by its PartialEq).
+        // streams included (its PartialEq excludes the wall-clock shard).
         assert_eq!(base, records, "{workers}-worker profiled sweep diverged");
         for (i, (a, b)) in base.iter().zip(&records).enumerate() {
             let (pa, pb) = (a.prof.as_ref().unwrap(), b.prof.as_ref().unwrap());
@@ -151,10 +150,7 @@ fn profiling_does_not_change_sweep_results() {
     }
     // and the v2 JSON they serialize to is identical (snapshot streams and
     // shards ride outside the sweep JSON)
-    assert_eq!(
-        sweep_json("smoke", &plain, None),
-        sweep_json("smoke", &profiled, None)
-    );
+    assert_eq!(sweep_json("smoke", &plain), sweep_json("smoke", &profiled));
 }
 
 #[test]

@@ -100,7 +100,7 @@ fn every_view_reports_the_same_value_for_each_quantity() {
     let summary = m.trace_summary().unwrap();
     let snaps = m.profiler().snapshots_jsonl().unwrap();
     let snap = snaps.lines().last().expect("snapshots were emitted");
-    let json = sweep_json("agree", std::slice::from_ref(&record), None);
+    let json = sweep_json("agree", std::slice::from_ref(&record));
     let line = after(&json, "\"runs\": [");
     let profile = m.profiler().shard().unwrap().render();
     let metrics = m.tracer().metrics().unwrap();
