@@ -186,8 +186,8 @@ enum SchedRole {
 /// channel re-arm lives on the code path that handles the *round-closing*
 /// reply, and the developer assumed the right racer always closes the
 /// round (its kick is sent second, so canonically its reply lands second).
-/// Swap the two replies — legal for any PDES window that covers their
-/// few-ns arrival gap — and the left racer's reply closes the round
+/// Swap the two replies — legal for any commutation window that covers
+/// their few-ns arrival gap — and the left racer's reply closes the round
 /// instead: no re-arm, and the next put lands on an unconsumed window.
 struct SchedPinger {
     role: SchedRole,

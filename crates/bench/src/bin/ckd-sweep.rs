@@ -16,10 +16,6 @@
 //! byte-compares each with a fresh run. Host throughput is `ckd-perf`'s
 //! to measure.
 //!
-//! `--shards N` forces every run of a grid onto the sharded PDES engine
-//! (`MachineBuilder::with_shards`); results are byte-identical either way,
-//! so the emitted file differs only in the `shards`/`pdes_rounds` fields.
-//!
 //! With more than one worker, every grid command also runs a one-worker
 //! pass and refuses to write unless the two merges are byte-identical.
 //! `sweep64` additionally gates the worker pool: its parallel pass must
@@ -37,14 +33,12 @@ fn cores() -> usize {
 struct Opts {
     workers: usize,
     out: Option<String>,
-    shards: Option<usize>,
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         workers: cores().min(4),
         out: None,
-        shards: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -59,14 +53,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             "--out" => {
                 opts.out = Some(it.next().ok_or("--out needs a path")?.clone());
             }
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                let n: usize = v.parse().map_err(|_| format!("bad shard count {v:?}"))?;
-                if n == 0 {
-                    return Err("--shards must be >= 1".into());
-                }
-                opts.shards = Some(n);
-            }
             other => return Err(format!("unknown option {other:?}")),
         }
     }
@@ -79,11 +65,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
 fn emit(file: &BenchFile, opts: &Opts) -> Result<(), String> {
     let name = file.command;
     let t0 = Instant::now();
-    let json = file.render(opts.workers, opts.shards);
+    let json = file.render(opts.workers);
     let wall = t0.elapsed();
     if file.grid.is_some() && opts.workers > 1 {
         let t1 = Instant::now();
-        let serial = file.render(1, opts.shards);
+        let serial = file.render(1);
         let serial_wall = t1.elapsed();
         if serial != json {
             return Err(format!(
@@ -119,7 +105,7 @@ fn run() -> Result<(), String> {
     let Some(cmd) = args.first() else {
         let commands: Vec<&str> = BENCH_FILES.iter().map(|f| f.command).collect();
         return Err(format!(
-            "usage: ckd-sweep <{}> [--workers N] [--out FILE] [--shards N]",
+            "usage: ckd-sweep <{}> [--workers N] [--out FILE]",
             commands.join("|")
         ));
     };

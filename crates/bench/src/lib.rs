@@ -71,18 +71,10 @@ impl BenchFile {
     }
 
     /// The file's full text, computed with `workers` sweep threads (the
-    /// bytes do not depend on the count). `shards: Some(n)` runs every
-    /// grid point on the `n`-shard PDES engine instead, which changes only
-    /// the per-run `shards`/`pdes_rounds` fields.
-    pub fn render(&self, workers: usize, shards: Option<usize>) -> String {
+    /// bytes do not depend on the count).
+    pub fn render(&self, workers: usize) -> String {
         match self.grid {
-            Some(g) => {
-                let mut grid = g();
-                if let Some(n) = shards {
-                    grid.iter_mut().for_each(|s| s.shards = n);
-                }
-                sweep_json(self.name, &run_sweep(&grid, workers))
-            }
+            Some(g) => sweep_json(self.name, &run_sweep(&g(), workers)),
             None => channels_json(&STORM_REGISTERED.map(run_storm_point)),
         }
     }

@@ -29,12 +29,11 @@ use crate::TABLE_SIZES;
 
 /// Schema tag of every JSON file this module emits, and the only one
 /// [`validate_sweep_json`] accepts. Per-run lines carry the spec, the
-/// virtual-time metrics, the machine's counters, the PDES fields
-/// `shards`/`pdes_rounds`, and `backend`/`cq_drains` (which put-completion
-/// backend the run used — `ib-sentinel-poll`, `dcmf-callback`,
-/// `notified-put`, `shared-mem` — and how many CQ notification records it
-/// drained).
-pub const SCHEMA: &str = "ckd-sweep/v4";
+/// virtual-time metrics, the machine's counters, and `backend`/`cq_drains`
+/// (which put-completion backend the run used — `ib-sentinel-poll`,
+/// `dcmf-callback`, `notified-put`, `shared-mem` — and how many CQ
+/// notification records it drained).
+pub const SCHEMA: &str = "ckd-sweep/v5";
 
 /// One application grid point: which app to run and its shape parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -138,8 +137,10 @@ pub struct RunSpec {
     pub seed: u64,
     /// Packet drop probability in permille (0 = no fault plane at all).
     pub drop_permille: u32,
-    /// PDES shard count (1 = the serial engine; byte-identical results
-    /// either way, so this only changes how the run executes).
+    /// Ignored: this once chose a shard count for a sharded engine whose
+    /// runs were byte-identical to serial ones for every count, so
+    /// ignoring it keeps its documented meaning. Only `ckd-perf`'s tests
+    /// still read it.
     pub shards: usize,
     /// Put-completion backend ([`BackendSel::Auto`] follows the fabric).
     pub backend: BackendSel,
@@ -171,9 +172,6 @@ pub struct RunRecord {
     pub callbacks: u64,
     /// Handles examined by poll sweeps (summed over PEs).
     pub poll_checks: u64,
-    /// Safe-window rounds of the PDES engine (0 for serial runs;
-    /// deterministic, so it participates in equality).
-    pub pdes_rounds: u64,
     /// Name of the put-completion backend the run actually used.
     pub backend: &'static str,
     /// The run's JSONL snapshot stream when profiling was on
@@ -194,7 +192,6 @@ impl PartialEq for RunRecord {
             && self.stats == other.stats
             && self.callbacks == other.callbacks
             && self.poll_checks == other.poll_checks
-            && self.pdes_rounds == other.pdes_rounds
             && self.backend == other.backend
             && self.snapshots == other.snapshots
     }
@@ -211,10 +208,7 @@ impl RunSpec {
     /// [`RunSpec::execute`] with optional self-profiling: the record then
     /// carries the run's [`ProfShard`] and snapshot JSONL.
     pub fn execute_with(&self, prof: Option<ProfConfig>) -> RunRecord {
-        let mut b = self
-            .platform
-            .builder(self.pes)
-            .with_shards(self.shards.max(1));
+        let mut b = self.platform.builder(self.pes);
         if let BackendSel::SharedMem = self.backend {
             b = b.with_backend(ckd_charm::backend::SharedMem);
         }
@@ -287,7 +281,6 @@ impl RunSpec {
             stats: m.stats().clone(),
             callbacks: m.callback_total(),
             poll_checks: m.poll_check_total(),
-            pdes_rounds: m.pdes_stats().map_or(0, |s| s.rounds),
             backend: m.backend().name(),
             snapshots: m.profiler().snapshots_jsonl().map(str::to_string),
             prof: m.profiler().shard().cloned(),
@@ -375,8 +368,7 @@ pub fn sweep_json(name: &str, records: &[RunRecord]) -> String {
              \"drop_permille\": {}, \"metric_ps\": {}, \"total_ps\": {}, \"lossy_puts\": {}, \
              \"events\": {}, \"msgs_sent\": {}, \"msg_bytes\": {}, \"puts\": {}, \
              \"put_bytes\": {}, \"reductions\": {}, \"retries\": {}, \"callbacks\": {}, \
-             \"poll_checks\": {}, \"shards\": {}, \"pdes_rounds\": {}, \
-             \"backend\": \"{}\", \"cq_drains\": {}}}{}\n",
+             \"poll_checks\": {}, \"backend\": \"{}\", \"cq_drains\": {}}}{}\n",
             s.app.label(),
             s.app.shape(),
             s.app.size(),
@@ -398,8 +390,6 @@ pub fn sweep_json(name: &str, records: &[RunRecord]) -> String {
             r.stats.rel.retries,
             r.callbacks,
             r.poll_checks,
-            s.shards,
-            r.pdes_rounds,
             r.backend,
             r.stats.cq_drains,
             if i + 1 == records.len() { "" } else { "," },
@@ -410,7 +400,7 @@ pub fn sweep_json(name: &str, records: &[RunRecord]) -> String {
 }
 
 /// Per-run keys every [`SCHEMA`] run line carries.
-const RUN_KEYS: [&str; 15] = [
+const RUN_KEYS: [&str; 13] = [
     "\"app\"",
     "\"variant\"",
     "\"platform\"",
@@ -422,8 +412,6 @@ const RUN_KEYS: [&str; 15] = [
     "\"events\"",
     "\"callbacks\"",
     "\"poll_checks\"",
-    "\"shards\"",
-    "\"pdes_rounds\"",
     "\"backend\"",
     "\"cq_drains\"",
 ];
@@ -564,9 +552,7 @@ fn jacobi_grid_for(pes: usize) -> [usize; 3] {
 }
 
 /// Fig 2(a): Jacobi3D on the Infiniband (Abe) model, both transports,
-/// over the paper's processor counts — plus one sharded replica of the
-/// largest CkDirect point, which must land byte-identical metrics to its
-/// serial twin while recording `pdes_rounds > 0`.
+/// over the paper's processor counts.
 pub fn fig2a_grid() -> Vec<RunSpec> {
     let abe = Platform::IbAbe { cores_per_node: 8 };
     let mut grid = Vec::new();
@@ -588,9 +574,6 @@ pub fn fig2a_grid() -> Vec<RunSpec> {
             });
         }
     }
-    let mut sharded = grid[grid.len() - 1];
-    sharded.shards = 4;
-    grid.push(sharded);
     grid
 }
 
@@ -630,10 +613,7 @@ pub fn fig3b_grid() -> Vec<RunSpec> {
 }
 
 /// A tiny mixed grid for the determinism suite and the unit tests:
-/// every app, both a clean and a faulty point, seconds to run. The clean
-/// Jacobi point runs sharded (`shards = 2`) so the PDES path is on every
-/// smoke sweep too — its record must be indistinguishable from a serial
-/// run apart from `pdes_rounds`.
+/// every app, both a clean and a faulty point, seconds to run.
 pub fn smoke_grid() -> Vec<RunSpec> {
     let abe = Platform::IbAbe { cores_per_node: 2 };
     let mut grid = Vec::new();
@@ -658,7 +638,6 @@ pub fn smoke_grid() -> Vec<RunSpec> {
         ),
     ] {
         for (seed, drop_permille) in [(0u64, 0u32), (0x5EED, 50)] {
-            let sharded = matches!(app, AppCase::Jacobi { .. }) && drop_permille == 0;
             grid.push(RunSpec {
                 app,
                 variant: Variant::Ckd,
@@ -667,7 +646,7 @@ pub fn smoke_grid() -> Vec<RunSpec> {
                 iters,
                 seed,
                 drop_permille,
-                shards: if sharded { 2 } else { 1 },
+                shards: 1,
                 backend: BackendSel::Auto,
             });
         }
@@ -737,29 +716,14 @@ mod tests {
     fn grids_have_the_advertised_shapes() {
         assert_eq!(sweep64_grid().len(), 64, "4 apps × 4 sizes × 4 seeds");
         assert_eq!(table1_grid().len(), 2 * TABLE_SIZES.len());
-        assert_eq!(fig2a_grid().len(), 11, "10 serial points + 1 sharded");
+        assert_eq!(fig2a_grid().len(), 10);
         assert_eq!(fig3b_grid().len(), 10);
         assert_eq!(smoke_grid().len(), 8);
-        // the sharded fig2a point replicates the largest CkDirect point
-        let fig2a = fig2a_grid();
-        let sharded = fig2a[10];
-        assert_eq!(sharded.shards, 4);
-        assert_eq!(
-            RunSpec {
-                shards: 1,
-                ..sharded
-            },
-            fig2a[9],
-            "sharded point must be the serial 256-PE Ckd point's twin"
-        );
-        assert_eq!(smoke_grid()[2].shards, 2, "clean jacobi smoke is sharded");
         // the backend-comparison grid: 4 apps × 4 completion strategies,
         // all clean, all 8 PEs — differing only in platform/backend
         let backends = backends_grid();
         assert_eq!(backends.len(), 16, "4 apps × 4 backends");
-        assert!(backends
-            .iter()
-            .all(|s| s.drop_permille == 0 && s.pes == 8 && s.shards == 1));
+        assert!(backends.iter().all(|s| s.drop_permille == 0 && s.pes == 8));
         assert_eq!(
             backends
                 .iter()

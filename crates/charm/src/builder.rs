@@ -44,7 +44,6 @@ pub struct MachineBuilder {
     learning: Option<LearnConfig>,
     layers: Vec<Box<dyn RuntimeLayer>>,
     checker: Option<Box<dyn ReorderPolicy>>,
-    shards: usize,
     progress: Option<ProgressConfig>,
 }
 
@@ -62,7 +61,6 @@ impl MachineBuilder {
             learning: None,
             layers: Vec::new(),
             checker: None,
-            shards: 1,
             progress: None,
         }
     }
@@ -157,20 +155,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Shard the run's PEs over `shards` OS threads with conservative
-    /// lookahead (`ckd_sim::pdes`): each shard owns its own event heap,
-    /// advanced in safe-window rounds derived from the fabric's minimum
-    /// cross-node latency, while dispatch stays on the calling thread.
-    /// Pop order — and therefore every trace byte — is identical to the
-    /// serial scheduler. `shards = 1` is the zero-cost serial path.
-    /// Never combine with [`MachineBuilder::with_checker`]: the checker's
-    /// reorder policy needs the single serial heap it explores.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "shard count must be at least 1");
-        self.shards = shards;
-        self
-    }
-
     /// Push a user-written [`RuntimeLayer`] onto the stack (after the
     /// built-in layers, in installation order). See
     /// `examples/custom_layer.rs`.
@@ -199,9 +183,6 @@ impl MachineBuilder {
 
     /// Construct the machine, or name the illegal knob combination.
     pub fn try_build(self) -> Result<Machine, BuildError> {
-        if self.checker.is_some() && self.shards > 1 {
-            return Err(BuildError::CheckerWithShards);
-        }
         if self.checker.is_some() && self.progress.is_some() {
             return Err(BuildError::CheckerWithProgress);
         }
@@ -246,9 +227,6 @@ impl MachineBuilder {
         }
         if let Some(policy) = self.checker {
             m.install_checker(policy);
-        }
-        if self.shards > 1 {
-            m.install_pdes(self.shards);
         }
         if let Some(cfg) = self.progress {
             m.install_progress(cfg);

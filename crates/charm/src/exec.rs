@@ -64,8 +64,8 @@ impl Machine {
                 corrupted,
                 handle,
             } => self.rel_deliver(token, link, seq, corrupted, handle),
-            Ev::RelAck { token, .. } => self.rel_ack(token),
-            Ev::RelTimer { token, attempt, .. } => self.rel_timer(token, attempt),
+            Ev::RelAck { token } => self.rel_ack(token),
+            Ev::RelTimer { token, attempt } => self.rel_timer(token, attempt),
         }
     }
 

@@ -29,7 +29,6 @@ pub mod layer;
 pub mod learn;
 pub mod machine;
 pub mod msg;
-pub(crate) mod pdes;
 pub mod progress;
 pub mod reduction;
 pub(crate) mod rel;
@@ -61,6 +60,3 @@ pub use ckd_trace::{
 // enable/inspect flow of chaos tests and experiments.
 pub use ckd_net::{RelStats, RetryPolicy};
 pub use ckd_sim::{FaultCounts, FaultKind, FaultOp, FaultPlan, FaultProbs};
-// PDES engine counters, surfaced through `Machine::pdes_stats` when a run
-// is sharded with `MachineBuilder::with_shards`.
-pub use ckd_sim::pdes::PdesStats;

@@ -136,12 +136,10 @@ pub(crate) enum Ev {
     },
     /// A reliability ack reached the sender: retire the pending packet.
     /// Charges no PE time and emits no trace record — pure NIC protocol.
-    /// `to` is the sender PE the ack lands on (shard homing).
-    RelAck { token: u64, to: u32 },
+    RelAck { token: u64 },
     /// Retransmission timer: if the packet is still pending at this exact
-    /// attempt, resend it through the fault plane with backoff. `to` is the
-    /// sender PE the timer fires on (shard homing).
-    RelTimer { token: u64, attempt: u32, to: u32 },
+    /// attempt, resend it through the fault plane with backoff.
+    RelTimer { token: u64, attempt: u32 },
 }
 
 pub(crate) struct PeState {
@@ -174,9 +172,6 @@ pub struct Machine {
     /// enters the profiled dispatch loop.
     pub(crate) prof: Profiler,
     pub(crate) stats: MachineStats,
-    /// Sharded PDES engine replacing `events` when `with_shards(n > 1)`
-    /// was requested; `None` is the serial fast path (see `pdes.rs`).
-    pub(crate) pdes: Option<crate::pdes::PdesRuntime>,
     /// Async software-progress engine for CQ-draining backends; `None`
     /// (the default) leaves draining to the scheduler (see `progress.rs`).
     pub(crate) progress: Option<crate::progress::ProgressState>,
@@ -227,7 +222,6 @@ impl Machine {
             stack: LayerStack::new(),
             prof: Profiler::disabled(),
             stats: MachineStats::default(),
-            pdes: None,
             progress: None,
             stop: false,
             cb_pool: Vec::new(),
@@ -501,7 +495,7 @@ impl Machine {
             return self.run_until_profiled(limit);
         }
         while !self.stop {
-            let Some((t, ev)) = self.pop_next(limit) else {
+            let Some((t, ev)) = self.events.pop_before(limit) else {
                 break;
             };
             self.now = t;
@@ -521,12 +515,12 @@ impl Machine {
         let loop_t0 = std::time::Instant::now();
         let every = self.prof.snapshot_every();
         while !self.stop {
-            let Some((t, ev)) = self.pop_next(limit) else {
+            let Some((t, ev)) = self.events.pop_before(limit) else {
                 break;
             };
             self.now = t;
             self.stats.events += 1;
-            self.prof.event_dispatched(self.queue_depth() as u64);
+            self.prof.event_dispatched(self.events.len() as u64);
             let phase = phase_of(&ev);
             let t0 = self.prof.begin();
             self.dispatch(ev);
@@ -552,7 +546,7 @@ impl Machine {
             msgs_sent: self.stats.msgs_sent,
             puts: self.stats.puts,
             put_bytes: self.stats.put_bytes,
-            queue_depth: self.queue_depth() as u64,
+            queue_depth: self.events.len() as u64,
             pollq: self.direct.pollq_total() as u64,
             ready: self.direct.ready_total() as u64,
             cq_backlog: self.direct.cq_total() as u64,
@@ -584,15 +578,12 @@ impl Machine {
     }
 
     /// Every runtime event enters the queue through here. On the canonical
-    /// path (no checker, shards=1) this is exactly `events.push`; with a
+    /// path (no checker) this is exactly `events.push`; with a
     /// `ReorderPolicy` installed it additionally stamps the event with its
     /// independence footprint so the checker can tell which pending events
-    /// commute (see `ckd_race::independence`); with shards > 1 it routes
-    /// the event to its home shard's heap (see `pdes.rs`).
+    /// commute (see `ckd_race::independence`).
     pub(crate) fn push_ev(&mut self, at: Time, ev: Ev) {
-        if self.pdes.is_some() {
-            self.push_ev_sharded(at, ev);
-        } else if self.events.reordering() {
+        if self.events.reordering() {
             let tag = self.footprint_of(&ev).tag();
             self.events.push_tagged(at, tag, ev);
         } else {
@@ -602,8 +593,8 @@ impl Machine {
 
     /// The independence footprint of a pending event: which PE its
     /// dispatch mutates, whether it is an arrival-class remote delivery
-    /// (reorderable by a PDES commutation window), and which channel it
-    /// completes on. Reliability-plane events keep the reserved unknown
+    /// (reorderable inside the checker's commutation window), and which
+    /// channel it completes on. Reliability-plane events keep the reserved unknown
     /// footprint: the checker never runs under fault injection, and
     /// unknown conservatively conflicts with everything.
     fn footprint_of(&self, ev: &Ev) -> Footprint {

@@ -1,7 +1,7 @@
 //! Messages and entry-method identifiers.
 
 use std::any::Any;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 
@@ -28,15 +28,15 @@ pub enum Payload {
     /// Bulk bytes — really transferred, really received.
     Bytes(Bytes),
     /// A typed control value (broadcast-cloneable, zero serialization).
-    /// `Send + Sync` so in-flight messages can sit on another shard's event
-    /// heap when a run is sharded over threads.
-    Value(Arc<dyn Any + Send + Sync>),
+    /// Shared through an `Rc`: a machine and its messages live on one
+    /// thread.
+    Value(Rc<dyn Any>),
 }
 
 impl Payload {
     /// Wrap a typed value.
-    pub fn value<T: Any + Send + Sync>(v: T) -> Payload {
-        Payload::Value(Arc::new(v))
+    pub fn value<T: Any>(v: T) -> Payload {
+        Payload::Value(Rc::new(v))
     }
 
     /// Borrow a typed value back out; `None` on kind or type mismatch.
@@ -101,7 +101,7 @@ impl Msg {
     }
 
     /// A typed control message with an explicitly modeled size.
-    pub fn value<T: Any + Send + Sync>(ep: EntryId, v: T, modeled_size: usize) -> Msg {
+    pub fn value<T: Any>(ep: EntryId, v: T, modeled_size: usize) -> Msg {
         Msg {
             ep,
             payload: Payload::value(v),

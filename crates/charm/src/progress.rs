@@ -53,10 +53,6 @@ impl Default for ProgressConfig {
 /// each illegal combination instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BuildError {
-    /// `with_checker` + `with_shards(n > 1)`: schedule exploration needs
-    /// the single serial event heap; the sharded engine has one heap per
-    /// shard.
-    CheckerWithShards,
     /// `with_checker` + `with_progress`: the reorder policies shipped with
     /// `ckd-check` have no commutation rule for progress ticks, so
     /// certification would explore schedules the serial machine can never
@@ -74,10 +70,6 @@ pub enum BuildError {
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            BuildError::CheckerWithShards => {
-                "with_shards cannot combine with with_checker: schedule \
-                 exploration needs the single serial event heap"
-            }
             BuildError::CheckerWithProgress => {
                 "with_checker cannot combine with with_progress: no reorder \
                  policy models progress-tick commutation"

@@ -169,7 +169,7 @@ impl Machine {
     /// non-empty until its ack retires it.
     pub(crate) fn debug_assert_quiescent(&self) {
         debug_assert!(
-            self.queue_depth() > 0 || self.stack.rel.as_ref().is_none_or(|r| r.pending.is_empty()),
+            !self.events.is_empty() || self.stack.rel.as_ref().is_none_or(|r| r.pending.is_empty()),
             "event queue drained with unacked reliable packets"
         );
     }
@@ -251,14 +251,7 @@ impl Machine {
                 self.push_ev(at + wire_delay + extra, mk(false));
             }
         }
-        self.push_ev(
-            at + timeout,
-            Ev::RelTimer {
-                token,
-                attempt,
-                to: link.0,
-            },
-        );
+        self.push_ev(at + timeout, Ev::RelTimer { token, attempt });
     }
 
     /// A reliable packet arrived: verify, dedup, ack, and (when fresh and
@@ -328,20 +321,19 @@ impl Machine {
     fn rel_send_ack(&mut self, token: u64, link: (u32, u32)) {
         let t = self.net.control(Pe(link.1), Pe(link.0));
         let rel = self.stack.rel.as_mut().expect("rel enabled");
-        let to = link.0;
         match rel.plan.decide(self.now, (link.1, link.0), FaultOp::Ack) {
-            FaultAction::Deliver => self.push_ev(self.now + t.delay, Ev::RelAck { token, to }),
+            FaultAction::Deliver => self.push_ev(self.now + t.delay, Ev::RelAck { token }),
             FaultAction::Drop | FaultAction::Corrupt => {
                 // a corrupted ack fails its CRC at the sender NIC — lost
                 // either way
                 self.stats.rel.acks_lost += 1;
             }
             FaultAction::Duplicate { extra } => {
-                self.push_ev(self.now + t.delay, Ev::RelAck { token, to });
-                self.push_ev(self.now + t.delay + extra, Ev::RelAck { token, to });
+                self.push_ev(self.now + t.delay, Ev::RelAck { token });
+                self.push_ev(self.now + t.delay + extra, Ev::RelAck { token });
             }
             FaultAction::Delay { extra } => {
-                self.push_ev(self.now + t.delay + extra, Ev::RelAck { token, to });
+                self.push_ev(self.now + t.delay + extra, Ev::RelAck { token });
             }
         }
     }

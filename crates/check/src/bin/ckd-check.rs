@@ -2,11 +2,16 @@
 //! run the static channel-protocol analysis.
 //!
 //! ```text
-//! ckd-check certify [--window-ns N] [--budget N] [--out FILE]
-//! ckd-check mutant  [--window-ns N] [--budget N]
+//! ckd-check certify [--budget N] [--out FILE]
+//! ckd-check mutant  [--budget N]
 //! ckd-check lint    [--gate] <path>...
 //! ckd-check validate <file>
 //! ```
+//!
+//! `certify` explores reorderings of same-instant events only
+//! ([`CERTIFY_WINDOW`]); `mutant` widens the commutation window to
+//! [`MUTANT_WINDOW`] so the mutant's two few-ns-apart replies can swap.
+//! The certificate records the window it was explored under.
 //!
 //! Exit codes: `0` success, `1` a gate failed (violation found where none
 //! expected, none found where one expected, ratio too small, static
@@ -21,24 +26,28 @@ use ckd_check::commgraph;
 use ckd_check::typestate;
 use ckd_sim::Time;
 
+/// Commutation window `certify` explores: same-instant events only.
+const CERTIFY_WINDOW: Time = Time::ZERO;
+/// Commutation window `mutant` explores: wide enough to swap the
+/// mutant's two replies, which land a few ns apart.
+const MUTANT_WINDOW: Time = Time::from_ns(2_000);
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: ckd-check certify [--window-ns N] [--budget N] [--out FILE]\n       ckd-check mutant  [--window-ns N] [--budget N]\n       ckd-check lint    [--gate] <path>...\n       ckd-check validate <file>"
+        "usage: ckd-check certify [--budget N] [--out FILE]\n       ckd-check mutant  [--budget N]\n       ckd-check lint    [--gate] <path>...\n       ckd-check validate <file>"
     );
     ExitCode::from(2)
 }
 
 struct Opts {
-    window_ns: u64,
     budget: u64,
     out: Option<String>,
     gate: bool,
     paths: Vec<String>,
 }
 
-fn parse_opts(args: &[String], default_window_ns: u64, default_budget: u64) -> Option<Opts> {
+fn parse_opts(args: &[String], default_budget: u64) -> Option<Opts> {
     let mut o = Opts {
-        window_ns: default_window_ns,
         budget: default_budget,
         out: None,
         gate: false,
@@ -47,10 +56,6 @@ fn parse_opts(args: &[String], default_window_ns: u64, default_budget: u64) -> O
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--window-ns" => {
-                o.window_ns = args.get(i + 1)?.parse().ok()?;
-                i += 2;
-            }
             "--budget" => {
                 o.budget = args.get(i + 1)?.parse().ok()?;
                 i += 2;
@@ -80,19 +85,19 @@ fn main() -> ExitCode {
     };
     match cmd.as_str() {
         "certify" => {
-            let Some(o) = parse_opts(&args[1..], 0, 64) else {
+            let Some(o) = parse_opts(&args[1..], 64) else {
                 return usage();
             };
             certify(&o)
         }
         "mutant" => {
-            let Some(o) = parse_opts(&args[1..], 2_000, 64) else {
+            let Some(o) = parse_opts(&args[1..], 64) else {
                 return usage();
             };
             mutant(&o)
         }
         "lint" => {
-            let Some(o) = parse_opts(&args[1..], 0, 0) else {
+            let Some(o) = parse_opts(&args[1..], 0) else {
                 return usage();
             };
             if o.paths.is_empty() {
@@ -123,7 +128,7 @@ fn main() -> ExitCode {
 }
 
 fn certify(o: &Opts) -> ExitCode {
-    let window = Time::from_ns(o.window_ns);
+    let window = CERTIFY_WINDOW;
     let mut reports = Vec::new();
     let mut failed = false;
     for case in CheckCase::APPS {
@@ -149,10 +154,7 @@ fn certify(o: &Opts) -> ExitCode {
             failed = true;
             println!("  GATE: pruning ratio {}x < 2x", st.ratio());
         } else {
-            println!(
-                "  certified (window {} ns, budget {})",
-                o.window_ns, o.budget
-            );
+            println!("  certified (window {window}, budget {})", o.budget);
         }
         reports.push(CaseReport {
             app: case.name().to_owned(),
@@ -183,7 +185,7 @@ fn certify(o: &Opts) -> ExitCode {
 }
 
 fn mutant(o: &Opts) -> ExitCode {
-    let window = Time::from_ns(o.window_ns);
+    let window = MUTANT_WINDOW;
     let case = CheckCase::SchedMutant;
     let ex = case.explore(window, o.budget);
     let st = &ex.stats;
@@ -198,8 +200,8 @@ fn mutant(o: &Opts) -> ExitCode {
     );
     let Some(cx) = &ex.counterexample else {
         eprintln!(
-            "GATE: the schedule-dependent mutant was NOT caught (window {} ns, budget {})",
-            o.window_ns, o.budget
+            "GATE: the schedule-dependent mutant was NOT caught (window {window}, budget {})",
+            o.budget
         );
         return ExitCode::FAILURE;
     };

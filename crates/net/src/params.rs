@@ -180,22 +180,6 @@ impl FabricParams {
         }
     }
 
-    /// Infimum of the cross-node latency this fabric can exhibit: with
-    /// `latency(hops) = base_latency + per_hop * hops` and `per_hop >= 0`,
-    /// no internode message — whatever its route — arrives in less than
-    /// `base_latency`.
-    pub fn min_remote_latency(&self) -> Time {
-        self.wire().base_latency
-    }
-
-    /// The conservative PDES lookahead this fabric supports: as long as
-    /// shards are node-aligned, every cross-shard event pays at least
-    /// [`FabricParams::min_remote_latency`], so that latency bounds the
-    /// safe window of `ckd_sim::pdes::ShardedEngine`.
-    pub fn lookahead(&self) -> ckd_sim::pdes::Lookahead {
-        ckd_sim::pdes::Lookahead::new(self.min_remote_latency())
-    }
-
     /// Map a requested protocol onto one this fabric actually implements —
     /// the single normalization point for mismatched protocol/fabric pairs.
     ///
@@ -258,19 +242,6 @@ mod tests {
         let w = wire();
         assert_eq!(w.latency(0), Time::from_ns(4700));
         assert_eq!(w.latency(3), Time::from_ns(4700 + 3 * 350));
-    }
-
-    #[test]
-    fn lookahead_is_the_zero_hop_latency() {
-        for fabric in [
-            FabricParams::IbVerbs(crate::presets::ib_abe_params()),
-            FabricParams::Dcmf(crate::presets::bgp_surveyor_params()),
-            FabricParams::Slingshot(crate::presets::slingshot_params()),
-        ] {
-            assert_eq!(fabric.min_remote_latency(), fabric.wire().base_latency);
-            assert_eq!(fabric.lookahead().safe_window(), fabric.wire().latency(0));
-            assert!(fabric.min_remote_latency() > Time::ZERO);
-        }
     }
 
     #[test]

@@ -17,9 +17,10 @@
 
 /// Encoded footprint of one pending event.
 ///
-/// Layout: bit 63 = arrival-class (a remote delivery the PDES engine may
-/// legally reorder), bits 24..=55 = channel resource + 1 (0 = none),
-/// bits 0..=23 = destination PE + 1 (0 only in the reserved unknown tag).
+/// Layout: bit 63 = arrival-class (a remote delivery the checker's
+/// commutation window may legally reorder), bits 24..=55 = channel
+/// resource + 1 (0 = none), bits 0..=23 = destination PE + 1 (0 only in
+/// the reserved unknown tag).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Footprint(u64);
 

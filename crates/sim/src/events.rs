@@ -24,8 +24,9 @@
 //! appends to that run only if it is still live and still at that time
 //! (records are recycled, so a slot may be stale); otherwise (first push
 //! at a time, a drained run, or a table collision) it opens a new run.
-//! Because every push carries the largest seq so far and appends only ever
-//! go to the newest run at their time, runs at one time hold disjoint,
+//! The queue stamps each push with its own next seq, so every push
+//! carries the largest seq so far; and appends only ever go to the newest
+//! run at their time. So runs at one time hold disjoint,
 //! increasing seq ranges. The pop order is therefore exactly the
 //! `(Time, seq)` lexicographic order of a plain binary heap over events.
 //!
@@ -272,28 +273,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedule `ev` at `at` under a *caller-supplied* sequence number
-    /// instead of the queue's own counter. This is the sharding seam: the
-    /// PDES coordinator assigns one globally monotone sequence across every
-    /// shard's queue so that merging the shards back together reproduces the
-    /// exact `(time, seq)` total order a single serial queue would have used.
-    ///
-    /// The caller must guarantee `seq` is unique across all pushes into this
-    /// queue (keys must stay unique for pop order to be total). The
-    /// internal counter is bumped past `seq` so interleaved [`EventQueue::push`]
-    /// calls can never collide. A `seq` below one already pushed takes an
-    /// O(pending runs) path.
-    #[inline]
-    pub fn push_at_seq(&mut self, at: Time, seq: u64, ev: E) {
-        self.check_causality(at);
-        if seq >= self.seq {
-            self.seq = seq.saturating_add(1);
-            self.enqueue(at.as_ps(), seq, ev);
-        } else {
-            self.insert_out_of_order(at.as_ps(), seq, ev);
-        }
-    }
-
     /// Remove and return the earliest event, advancing the horizon to its
     /// timestamp. With a policy installed, "earliest" becomes "whichever
     /// in-window candidate the policy picks".
@@ -314,37 +293,14 @@ impl<E> EventQueue<E> {
         if root.at > limit.as_ps() {
             return None;
         }
-        let (_, ev) = self.pop_root(root);
+        let ev = self.pop_root(root);
         Some((Time::from_ps(root.at), ev))
-    }
-
-    /// [`EventQueue::pop_before`], but exposing the popped event's sequence
-    /// number alongside its timestamp. The PDES drain path uses this to
-    /// carry each event's original `(time, seq)` key across shard channels
-    /// so the coordinator can merge shards in the serial total order.
-    /// Bypasses any installed policy (shard queues never have one).
-    #[inline]
-    pub fn pop_keyed_before(&mut self, limit: Time) -> Option<(Time, u64, E)> {
-        let root = *self.heap.first()?;
-        if root.at > limit.as_ps() {
-            return None;
-        }
-        let (seq, ev) = self.pop_root(root);
-        Some((Time::from_ps(root.at), seq, ev))
     }
 
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.first().map(|e| Time::from_ps(e.at))
-    }
-
-    /// `(time, seq)` key of the earliest pending event, if any.
-    #[inline]
-    pub fn peek_key(&self) -> Option<(Time, u64)> {
-        let root = *self.heap.first()?;
-        let seq = self.seqs(root).next().expect("pending run is non-empty");
-        Some((Time::from_ps(root.at), seq))
     }
 
     /// Number of pending events.
@@ -458,38 +414,6 @@ impl<E> EventQueue<E> {
         run
     }
 
-    /// [`EventQueue::push_at_seq`] below an already-pushed seq: insert into
-    /// the run at `at` with the largest first seq below `seq`, keeping its
-    /// FIFO sorted, or open a run of its own if there is none. That run is
-    /// not named in the table, so the seq ranges of runs at `at` stay
-    /// disjoint and increasing.
-    fn insert_out_of_order(&mut self, at: u64, seq: u64, ev: E) {
-        let host = self
-            .heap
-            .iter()
-            .filter(|e| e.at == at && e.first_seq() < seq)
-            .max_by_key(|e| e.ord)
-            .map(|e| e.run());
-        match host {
-            Some(r) => {
-                let tail = self.tail_mut(r);
-                let pos = tail.partition_point(|i| i.seq < seq);
-                tail.insert(pos, Item { seq, ev });
-            }
-            None => {
-                let run = self.open_run(at, seq);
-                self.runs[run].head = Some(ev);
-                // a stale slot may name the recycled record at this time
-                if let Some(slot) = self.table.get_mut(slot_of(at)) {
-                    if slot.run == run as u32 {
-                        slot.run = NONE;
-                    }
-                }
-            }
-        }
-        self.len += 1;
-    }
-
     /// The seqs of `e`'s run, in pop order.
     fn seqs(&self, e: Entry) -> impl Iterator<Item = u64> + '_ {
         let run = &self.runs[e.run()];
@@ -504,7 +428,7 @@ impl<E> EventQueue<E> {
     /// Pop the front event of the root run, retiring the run if that was
     /// its last event.
     #[inline]
-    fn pop_root(&mut self, root: Entry) -> (u64, E) {
+    fn pop_root(&mut self, root: Entry) -> E {
         let run = &mut self.runs[root.run()];
         let (seq, ev) = match run.head.take() {
             Some(ev) => {
@@ -523,7 +447,7 @@ impl<E> EventQueue<E> {
             }
         };
         self.account(root.at, seq);
-        (seq, ev)
+        ev
     }
 
     /// The policy-mediated pop: collect every pending event inside the
@@ -872,52 +796,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Time::from_ns(10), 1)));
     }
 
-    #[test]
-    fn caller_supplied_seqs_define_the_tie_order() {
-        let mut q = EventQueue::new();
-        // Push out of seq order at one timestamp: pops must follow the
-        // caller's seq, not arrival order.
-        q.push_at_seq(Time::from_ns(5), 7, "late");
-        q.push_at_seq(Time::from_ns(5), 2, "early");
-        q.push_at_seq(Time::from_ns(1), 9, "first");
-        assert_eq!(q.peek_key(), Some((Time::from_ns(1), 9)));
-        assert_eq!(
-            q.pop_keyed_before(Time::MAX),
-            Some((Time::from_ns(1), 9, "first"))
-        );
-        assert_eq!(
-            q.pop_keyed_before(Time::MAX),
-            Some((Time::from_ns(5), 2, "early"))
-        );
-        // The internal counter must have advanced past every supplied seq,
-        // so a plain push cannot collide with seq 7 still in the heap.
-        q.push(Time::from_ns(5), "plain");
-        assert_eq!(
-            q.pop_keyed_before(Time::MAX),
-            Some((Time::from_ns(5), 7, "late"))
-        );
-        let (t, seq, ev) = q.pop_keyed_before(Time::MAX).unwrap();
-        assert_eq!((t, ev), (Time::from_ns(5), "plain"));
-        assert!(seq >= 10, "plain push reused a low seq: {seq}");
-        assert_eq!(q.pop_keyed_before(Time::MAX), None);
-        assert_eq!(q.events_processed(), 4);
-        assert_eq!(q.horizon(), Time::from_ns(5));
-    }
-
-    #[test]
-    fn pop_keyed_before_respects_the_limit() {
-        let mut q = EventQueue::new();
-        q.push_at_seq(Time::from_ns(10), 0, "a");
-        q.push_at_seq(Time::from_ns(30), 1, "b");
-        assert_eq!(q.pop_keyed_before(Time::from_ns(9)), None);
-        assert_eq!(
-            q.pop_keyed_before(Time::from_ns(10)),
-            Some((Time::from_ns(10), 0, "a"))
-        );
-        assert_eq!(q.pop_keyed_before(Time::from_ns(29)), None);
-        assert_eq!(q.peek_key(), Some((Time::from_ns(30), 1)));
-    }
-
     /// Run records, pooled tails, and the capacity those tails retain.
     fn footprint<E>(q: &EventQueue<E>) -> (usize, usize, usize) {
         let cap = q.tails.iter().map(VecDeque::capacity).sum();
@@ -1059,31 +937,5 @@ mod tests {
         assert_eq!(q.pop(), Some((t, 4)));
         assert_eq!(q.runs.len(), 1, "one run served every push at {t}");
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn out_of_order_seqs_land_inside_existing_runs() {
-        let mut q = EventQueue::new();
-        let t = Time::from_ns(5);
-        q.push_at_seq(t, 10, "s10");
-        q.push_at_seq(t, 20, "s20");
-        q.push_at_seq(t, 15, "s15"); // inside the run
-        q.push_at_seq(t, 3, "s3"); // below every run: a run of its own
-        q.push_at_seq(t, 21, "s21"); // monotone again: appends
-        let mut got = Vec::new();
-        while let Some((at, seq, ev)) = q.pop_keyed_before(Time::MAX) {
-            assert_eq!(at, t);
-            got.push((seq, ev));
-        }
-        assert_eq!(
-            got,
-            vec![
-                (3, "s3"),
-                (10, "s10"),
-                (15, "s15"),
-                (20, "s20"),
-                (21, "s21")
-            ]
-        );
     }
 }

@@ -19,14 +19,12 @@
 
 pub mod events;
 pub mod fault;
-pub mod pdes;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
 pub use events::{EventMeta, EventQueue, IdentityPolicy, ReorderPolicy};
 pub use fault::{FaultAction, FaultCounts, FaultKind, FaultOp, FaultPlan, FaultProbs, Link};
-pub use pdes::{Lookahead, PdesStats, ShardMap, ShardedEngine};
 pub use rng::DetRng;
 pub use stats::{OnlineStats, Sampler};
 pub use time::Time;

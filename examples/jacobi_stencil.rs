@@ -5,33 +5,12 @@
 //!
 //! ```text
 //! cargo run --release --example jacobi_stencil
-//! cargo run --release --example jacobi_stencil -- --shards 4
 //! ```
-//!
-//! `--shards N` runs both variants on the parallel-in-virtual-time engine
-//! (N OS threads, conservative lookahead; DESIGN §14). Every number
-//! printed — residual, grid bits, iteration times — is identical either
-//! way: sharding changes how the simulation executes, never what it
-//! computes.
 
 use ckd_apps::jacobi3d::{improvement_percent, run_jacobi_grid_on, serial_jacobi, JacobiCfg};
 use ckd_apps::{Platform, Variant};
 
-fn shards_from_args() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--shards" {
-            let v = args.next().expect("--shards needs a value");
-            let n: usize = v.parse().expect("--shards needs a number");
-            assert!(n >= 1, "--shards must be >= 1");
-            return n;
-        }
-    }
-    1
-}
-
 fn main() {
-    let shards = shards_from_args();
     let domain = [32, 32, 16];
     let iters = 25;
     let cfg = |variant| JacobiCfg {
@@ -45,37 +24,22 @@ fn main() {
     let pes = 8;
 
     println!(
-        "Jacobi3D, {}x{}x{} domain, 32 chares on {pes} PEs ({}), {iters} iterations{}",
+        "Jacobi3D, {}x{}x{} domain, 32 chares on {pes} PEs ({}), {iters} iterations",
         domain[0],
         domain[1],
         domain[2],
         platform.label(),
-        if shards > 1 {
-            format!(", {shards} PDES shards")
-        } else {
-            String::new()
-        }
     );
 
-    let run = |variant| {
-        let mut m = platform.builder(pes).with_shards(shards).build();
-        let out = run_jacobi_grid_on(&mut m, cfg(variant));
-        (out, m.pdes_stats())
-    };
-    let ((msg_result, msg_grid), _) = run(Variant::Msg);
-    let ((ckd_result, ckd_grid), pdes) = run(Variant::Ckd);
+    let run = |variant| run_jacobi_grid_on(&mut platform.builder(pes).build(), cfg(variant));
+    let (msg_result, msg_grid) = run(Variant::Msg);
+    let (ckd_result, ckd_grid) = run(Variant::Ckd);
     let reference = serial_jacobi(domain, iters);
 
     assert_eq!(msg_grid, reference, "MSG grid differs from serial");
     assert_eq!(ckd_grid, reference, "CKD grid differs from serial");
     println!("verification: both variants match the serial reference bit for bit");
     println!("final residual: {:.6e}", msg_result.residual);
-    if let Some(s) = pdes {
-        println!(
-            "PDES engine: {} shards, {} rounds, {} cross-shard events, {} window spills",
-            s.shards, s.rounds, s.cross_shard, s.window_spills
-        );
-    }
     println!();
     println!(
         "{:<22} {:>14} {:>14}",

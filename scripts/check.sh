@@ -128,14 +128,6 @@ echo "ckd-perf: registry sweep flat across a 100x herd (armed1k $small ns, armed
 # caught with a replayable counterexample.
 run ./target/release/ckd-check certify --budget 48 --out target/ckd-check-cert.json
 run ./target/release/ckd-check validate target/ckd-check-cert.json
-# ...and again over the PDES safe window: exploring schedules within the
-# sharded engine's round width (the IB fabric's 4550 ns minimum cross-node
-# latency) must still find every interleaving result-equivalent, i.e. the
-# independence certificates cover exactly the reorderings sharded rounds
-# could ever expose.
-run ./target/release/ckd-check certify --window-ns 4550 --budget 48 \
-    --out target/ckd-check-pdes-cert.json
-run ./target/release/ckd-check validate target/ckd-check-pdes-cert.json
 run ./target/release/ckd-check mutant --budget 16
 
 # Static lifecycle check: the typestate pass over the application and

@@ -23,7 +23,7 @@ fn committed_bench_files_are_reproduced_byte_for_byte() {
         if let Err(e) = file.validate(&old) {
             failures.push(format!("{path}: {e}"));
         }
-        let fresh = file.render(2, None);
+        let fresh = file.render(2);
         if fresh != old {
             let line = fresh
                 .lines()

@@ -189,8 +189,8 @@ fn stencil_advantage_grows_with_scale() {
 
 /// Illegal knob combinations are named [`BuildError`]s from `try_build`,
 /// not late panics from inside the construction path — and every legal
-/// combination still builds. (These rules used to be scattered asserts;
-/// the checker+shards one fired only after the machine was half-built.)
+/// combination still builds. (These rules used to be scattered asserts
+/// that fired only after the machine was half-built.)
 #[test]
 fn illegal_builder_combinations_are_named_errors() {
     use ckd_charm::{BuildError, ProgressConfig};
@@ -205,15 +205,6 @@ fn illegal_builder_combinations_are_named_errors() {
             Ok(_) => panic!("illegal combination built a machine"),
         }
     }
-
-    // schedule exploration needs the single serial event heap
-    let e = build_err(
-        ABE2.builder(4)
-            .with_checker(checker())
-            .with_shards(2)
-            .try_build(),
-    );
-    assert_eq!(e, BuildError::CheckerWithShards);
 
     // no reorder policy models progress-tick commutation
     let e = build_err(
@@ -244,7 +235,6 @@ fn illegal_builder_combinations_are_named_errors() {
 
     // each error Displays a human-readable rule, not a Debug dump
     for err in [
-        BuildError::CheckerWithShards,
         BuildError::CheckerWithProgress,
         BuildError::ProgressWithoutCq,
         BuildError::ZeroProgressTick,
@@ -261,10 +251,7 @@ fn illegal_builder_combinations_are_named_errors() {
             .npes(),
         4
     );
-    assert_eq!(
-        ABE2.builder(4).with_shards(2).try_build().unwrap().npes(),
-        4
-    );
+    assert_eq!(ABE2.builder(4).try_build().unwrap().npes(), 4);
     assert_eq!(
         SLING
             .builder(4)
@@ -274,8 +261,5 @@ fn illegal_builder_combinations_are_named_errors() {
             .npes(),
         4
     );
-    assert_eq!(
-        SLING.builder(4).with_shards(2).try_build().unwrap().npes(),
-        4
-    );
+    assert_eq!(SLING.builder(4).try_build().unwrap().npes(), 4);
 }

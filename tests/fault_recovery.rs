@@ -101,63 +101,6 @@ fn jacobi_converges_byte_identical_under_drops() {
     }
 }
 
-/// The fault matrix again, but sharded: recovery must also hold when the
-/// event heap is split over 4 PDES worker threads (`with_shards`). Every
-/// sharded faulty run is checked three ways — bit-identical grid against
-/// the clean *serial* reference, identical reliability stats against the
-/// *serial faulty* run with the same seed (the retransmission schedule
-/// itself must not notice the sharding), and sanitizer-clean.
-#[test]
-fn sharded_jacobi_converges_byte_identical_under_drops() {
-    let cfg = JacobiCfg {
-        domain: [16, 8, 8],
-        chares: [2, 2, 2],
-        iters: 8,
-        variant: Variant::Ckd,
-        real_compute: true,
-    };
-    let (clean_res, clean_grid) = run_jacobi_grid_on(&mut ABE4.machine(8), cfg);
-    for seed in SEEDS {
-        let label = format!("sharded jacobi seed={seed:#x}");
-        let mut serial = sanitized(8)
-            .with_faults(FaultPlan::new(seed).with_drop(0.20))
-            .build();
-        let (serial_res, serial_grid) = run_jacobi_grid_on(&mut serial, cfg);
-        let mut m = sanitized(8)
-            .with_faults(FaultPlan::new(seed).with_drop(0.20))
-            .with_shards(4)
-            .build();
-        let (res, grid) = run_jacobi_grid_on(&mut m, cfg);
-        // vs the clean serial reference: recovery is complete
-        assert_eq!(
-            res.residual.to_bits(),
-            clean_res.residual.to_bits(),
-            "{label}"
-        );
-        for (i, (a, b)) in grid.iter().zip(&clean_grid).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "{label}: grid[{i}]");
-        }
-        assert_eq!(res.iters, clean_res.iters, "{label}");
-        // vs the serial faulty run: sharding is invisible to the fault plane
-        assert_eq!(grid, serial_grid, "{label}: grids diverged from serial");
-        assert_eq!(res.total, serial_res.total, "{label}: completion time");
-        assert_eq!(
-            m.stats().rel,
-            serial.stats().rel,
-            "{label}: retransmission schedule diverged from serial"
-        );
-        assert_eq!(
-            m.fault_counts().unwrap(),
-            serial.fault_counts().unwrap(),
-            "{label}: injections diverged from serial"
-        );
-        assert_recovered(&m, &label);
-        let pdes = m.pdes_stats().expect("sharded run has engine stats");
-        assert!(pdes.rounds > 0, "{label}: engine never started a round");
-        assert_eq!(pdes.window_spills, 0, "{label}: safe window violated");
-    }
-}
-
 // ---------------------------------------------------------------- pingpong
 
 #[test]

@@ -1039,184 +1039,6 @@ fn identity_policy_is_byte_identical_to_the_min_heap_order() {
     }
 }
 
-// ------------------------------------------------------- PDES safe window
-
-/// A random but self-consistent fabric: every latency/overhead field is
-/// drawn independently, with `base_latency >= 1ps` (a zero-latency wire
-/// admits no conservative lookahead and `Lookahead::new` rejects it).
-fn arbitrary_fabric(rng: &mut DetRng) -> ckd_net::FabricParams {
-    use ckd_net::{DcmfParams, FabricParams, IbParams, SharedMemParams, WireParams};
-    let wire = WireParams {
-        base_latency: Time::from_ps(rng.range(1, 1 << 34)),
-        per_hop: Time::from_ps(rng.range(0, 1 << 30)),
-        ps_per_byte: rng.range(0, 1 << 14),
-        per_packet: Time::from_ps(rng.range(0, 1 << 28)),
-        packet_bytes: rng.range(64, 1 << 14) as usize,
-    };
-    let shmem = SharedMemParams {
-        latency: Time::from_ps(rng.range(0, 1 << 28)),
-        ps_per_byte: rng.range(0, 1 << 12),
-    };
-    if rng.chance(0.5) {
-        FabricParams::IbVerbs(IbParams {
-            wire,
-            shmem,
-            o_send: Time::from_ps(rng.range(0, 1 << 28)),
-            o_recv: Time::from_ps(rng.range(0, 1 << 28)),
-            eager_copy_ps_per_byte: rng.range(0, 1 << 12),
-            rdma_issue: Time::from_ps(rng.range(0, 1 << 28)),
-            reg_base: Time::from_ps(rng.range(0, 1 << 28)),
-            reg_ps_per_byte: rng.range(0, 1 << 12),
-            control_bytes: rng.range(8, 256) as usize,
-        })
-    } else {
-        FabricParams::Dcmf(DcmfParams {
-            wire,
-            shmem,
-            o_send: Time::from_ps(rng.range(0, 1 << 28)),
-            o_recv: Time::from_ps(rng.range(0, 1 << 28)),
-            short_max: rng.range(0, 1 << 12) as usize,
-            short_copy_ps_per_byte: rng.range(0, 1 << 12),
-            info_bytes: rng.range(0, 128) as usize,
-            control_bytes: rng.range(8, 256) as usize,
-        })
-    }
-}
-
-/// The conservative-lookahead contract: for *any* fabric, the safe window
-/// is positive, equals the zero-hop latency infimum, and never exceeds the
-/// latency of any actual route — so no cross-shard event can arrive inside
-/// a round that its sender's shard has already drained past.
-#[test]
-fn safe_window_bounds_every_cross_shard_latency() {
-    let mut rng = DetRng::new(0x9DE5).stream("safe-window");
-    for case in 0..CASES * 2 {
-        let fabric = arbitrary_fabric(&mut rng);
-        let w = fabric.lookahead().safe_window();
-        assert!(w > Time::ZERO, "case {case}: window must be positive");
-        assert_eq!(
-            w,
-            fabric.min_remote_latency(),
-            "case {case}: window is the latency infimum"
-        );
-        for _ in 0..8 {
-            let hops = rng.range(0, 64) as u32;
-            assert!(
-                w <= fabric.wire().latency(hops),
-                "case {case}: window exceeds a {hops}-hop route"
-            );
-        }
-    }
-}
-
-/// Raising the wire's base latency never shrinks the safe window
-/// (monotonicity): a slower fabric always admits at least as much
-/// lookahead.
-#[test]
-fn safe_window_is_monotone_in_base_latency() {
-    let mut rng = DetRng::new(0x9DE6).stream("safe-window-monotone");
-    for case in 0..CASES {
-        let fabric = arbitrary_fabric(&mut rng);
-        let w0 = fabric.lookahead().safe_window();
-        let bump = Time::from_ps(rng.range(0, 1 << 32));
-        let mut slower = fabric;
-        match &mut slower {
-            ckd_net::FabricParams::IbVerbs(p) => p.wire.base_latency += bump,
-            ckd_net::FabricParams::Dcmf(p) => p.wire.base_latency += bump,
-            ckd_net::FabricParams::Slingshot(p) => p.rdma.wire.base_latency += bump,
-        }
-        let w1 = slower.lookahead().safe_window();
-        assert!(
-            w1 >= w0,
-            "case {case}: window shrank when the wire got slower"
-        );
-        assert_eq!(w1, w0 + bump, "case {case}: window tracks base latency");
-    }
-}
-
-/// `ShardMap::node_aligned` keeps every PE of a node on one shard (the
-/// property the safe-window derivation rests on: only *inter-node* events
-/// cross shards), assigns only valid shard ids, and is contiguous — shard
-/// ids never decrease along the PE axis.
-#[test]
-fn node_aligned_shard_maps_never_split_a_node() {
-    let mut rng = DetRng::new(0x5A4D).stream("shard-map");
-    for case in 0..CASES * 2 {
-        let nodes = rng.range(1, 32) as usize;
-        let cores = rng.range(1, 8) as usize;
-        let shards = rng.range(1, 12) as usize;
-        let node_of_pe: Vec<u32> = (0..nodes * cores).map(|p| (p / cores) as u32).collect();
-        let map = ckd_sim::ShardMap::node_aligned(&node_of_pe, shards);
-        assert_eq!(map.shards(), shards);
-        assert_eq!(map.npes(), node_of_pe.len());
-        let mut last = 0u32;
-        for pe in 0..map.npes() {
-            let s = map.shard_of(pe);
-            assert!((s as usize) < shards, "case {case}: shard id out of range");
-            assert!(s >= last, "case {case}: shard ids must be contiguous");
-            last = s;
-            if pe > 0 && node_of_pe[pe] == node_of_pe[pe - 1] {
-                assert_eq!(
-                    s,
-                    map.shard_of(pe - 1),
-                    "case {case}: node {} split across shards",
-                    node_of_pe[pe]
-                );
-            }
-        }
-    }
-}
-
-/// The engine-level byte-identity property, via the public API: arbitrary
-/// event soups pushed through a threaded `ShardedEngine` (random shard
-/// maps, random windows) pop in *exactly* the serial `EventQueue`'s
-/// `(time, seq)` order, under arbitrary interleaved push/pop streams.
-#[test]
-fn sharded_engine_pops_in_serial_queue_order() {
-    let mut rng = DetRng::new(0x9DE5_0DE5).stream("sharded-vs-serial");
-    for case in 0..CASES / 2 {
-        let shards = rng.range(1, 6) as usize;
-        let npes = rng.range(1, 24) as usize;
-        let shard_of: Vec<u32> = (0..npes)
-            .map(|_| rng.range(0, shards as u64) as u32)
-            .collect();
-        let map = ckd_sim::ShardMap::from_assignment(shard_of.clone(), shards);
-        let window = ckd_sim::Lookahead::new(Time::from_ns(rng.range(1, 5000)));
-        let mut engine: ckd_sim::ShardedEngine<u32> = ckd_sim::ShardedEngine::new(map, window);
-        let mut serial = ckd_sim::EventQueue::new();
-        let mut now = 0u64; // ns horizon, keeps pushes causal
-        let mut next_id = 0u32;
-        for _ in 0..rng.range(20, 200) {
-            if rng.chance(0.6) || serial.is_empty() {
-                let burst = if rng.chance(0.3) { rng.range(2, 12) } else { 1 };
-                let at = Time::from_ns(now + rng.range(0, 3000));
-                for _ in 0..burst {
-                    let pe = rng.range(0, npes as u64) as usize;
-                    engine.push(at, shard_of[pe], next_id);
-                    serial.push(at, next_id);
-                    next_id += 1;
-                }
-            } else {
-                let got = engine.pop();
-                let want = serial.pop();
-                assert_eq!(got, want, "case {case}: pop order diverged");
-                if let Some((t, _)) = got {
-                    now = t.as_ps() / 1000;
-                }
-            }
-        }
-        loop {
-            let got = engine.pop();
-            let want = serial.pop();
-            assert_eq!(got, want, "case {case}: drain order diverged");
-            if got.is_none() {
-                break;
-            }
-        }
-        assert!(engine.is_empty());
-    }
-}
-
 // --------------------------------------------------- notified-put CQ model
 
 /// Reference model for the bounded notification CQ of the `NotifiedPut`
