@@ -206,7 +206,10 @@ impl CompletionBackend for SharedMem {
 /// completion queue when the payload lands. The receiving scheduler
 /// *drains* the queue — O(notifications) per sweep rather than O(armed
 /// handles) — and a put that would overflow the CQ is held back at the
-/// NIC until the receiver drains (backpressure, never data loss).
+/// NIC until the receiver drains (backpressure, never data loss). As
+/// in the paper, the receiving scheduler is the only drainer: there is no
+/// separate progress thread, so a PE deep in a long handler drains
+/// nothing and its senders wait.
 #[derive(Clone, Copy, Debug)]
 pub struct NotifiedPut {
     /// Modeled depth of the per-PE notification completion queue.

@@ -1,5 +1,6 @@
-//! Fluent construction of a [`Machine`]: pick a completion backend, stack
-//! runtime layers, then build.
+//! Fluent construction of a [`Machine`]: pick a completion backend and
+//! the optional layers (tracing, profiling, race checking, faults,
+//! learning, schedule exploration), then build.
 //!
 //! ```no_run
 //! use ckd_charm::{Machine, TraceConfig};
@@ -16,35 +17,27 @@ use ckd_net::{FabricParams, NetModel, RetryPolicy};
 use ckd_race::SanitizerConfig;
 use ckd_sim::{FaultPlan, ReorderPolicy};
 use ckd_trace::{ProfConfig, TraceConfig};
-use ckdirect::DirectConfig;
-
-use ckd_sim::Time;
 
 use crate::backend::{matching_backend, CompletionBackend};
 use crate::config::RtsConfig;
-use crate::layer::RuntimeLayer;
 use crate::learn::LearnConfig;
 use crate::machine::Machine;
-use crate::progress::{BuildError, ProgressConfig};
 
 /// Builder returned by [`Machine::builder`]. Every knob has a
 /// fabric-matching default: the backend from [`matching_backend`], the
-/// runtime costs from the fabric's [`RtsConfig`] preset, and an empty
-/// layer stack (tracing, race checking, faults, and learning all off —
-/// each costs one branch per hook until enabled).
+/// runtime costs from the fabric's [`RtsConfig`] preset, and every
+/// optional layer off (tracing, race checking, faults, and learning each
+/// cost one branch per hook until enabled).
 pub struct MachineBuilder {
     net: NetModel,
     rts: Option<RtsConfig>,
     backend: Option<Box<dyn CompletionBackend>>,
-    detect_collisions: Option<bool>,
     tracing: Option<TraceConfig>,
     profiling: Option<ProfConfig>,
     sanitizer: Option<SanitizerConfig>,
     faults: Option<(FaultPlan, RetryPolicy, u32)>,
     learning: Option<LearnConfig>,
-    layers: Vec<Box<dyn RuntimeLayer>>,
     checker: Option<Box<dyn ReorderPolicy>>,
-    progress: Option<ProgressConfig>,
 }
 
 impl MachineBuilder {
@@ -53,15 +46,12 @@ impl MachineBuilder {
             net,
             rts: None,
             backend: None,
-            detect_collisions: None,
             tracing: None,
             profiling: None,
             sanitizer: None,
             faults: None,
             learning: None,
-            layers: Vec::new(),
             checker: None,
-            progress: None,
         }
     }
 
@@ -78,15 +68,6 @@ impl MachineBuilder {
     /// [`crate::backend::DcmfCallback`] on DCMF).
     pub fn with_backend(mut self, backend: impl CompletionBackend + 'static) -> Self {
         self.backend = Some(Box::new(backend));
-        self
-    }
-
-    /// Override sentinel-collision detection (default: the backend's
-    /// choice). `false` reproduces the paper's actual failure mode: a put
-    /// whose payload ends with the out-of-band pattern lands but is never
-    /// detected.
-    pub fn detect_collisions(mut self, detect: bool) -> Self {
-        self.detect_collisions = Some(detect);
         self
     }
 
@@ -155,58 +136,17 @@ impl MachineBuilder {
         self
     }
 
-    /// Push a user-written [`RuntimeLayer`] onto the stack (after the
-    /// built-in layers, in installation order). See
-    /// `examples/custom_layer.rs`.
-    pub fn with_layer(mut self, layer: impl RuntimeLayer + 'static) -> Self {
-        self.layers.push(Box::new(layer));
-        self
-    }
-
-    /// Enable the async software-progress engine: a modeled progress
-    /// thread that drains the notified-put completion queue on a periodic
-    /// virtual-time tick, even while the scheduler is busy (see
-    /// `progress.rs`). Requires a CQ-draining backend and cannot combine
-    /// with [`MachineBuilder::with_checker`] — [`MachineBuilder::try_build`]
-    /// names the rejection.
-    pub fn with_progress(mut self, cfg: ProgressConfig) -> Self {
-        self.progress = Some(cfg);
-        self
-    }
-
-    /// Construct the machine, panicking on an illegal knob combination.
-    /// Prefer [`MachineBuilder::try_build`] where the caller can report
-    /// the named [`BuildError`] instead.
+    /// Construct the machine.
     pub fn build(self) -> Machine {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Construct the machine, or name the illegal knob combination.
-    pub fn try_build(self) -> Result<Machine, BuildError> {
-        if self.checker.is_some() && self.progress.is_some() {
-            return Err(BuildError::CheckerWithProgress);
-        }
         let backend = self
             .backend
             .unwrap_or_else(|| matching_backend(self.net.fabric()));
-        if let Some(cfg) = &self.progress {
-            if !backend.drains_cq() {
-                return Err(BuildError::ProgressWithoutCq);
-            }
-            if cfg.tick == Time::ZERO {
-                return Err(BuildError::ZeroProgressTick);
-            }
-        }
         let rts = self.rts.unwrap_or_else(|| match self.net.fabric() {
             FabricParams::IbVerbs(_) => RtsConfig::ib_abe(),
             FabricParams::Dcmf(_) => RtsConfig::bgp(),
             FabricParams::Slingshot(_) => RtsConfig::slingshot(),
         });
-        let mut direct_cfg: DirectConfig = backend.direct_config();
-        if let Some(detect) = self.detect_collisions {
-            direct_cfg.detect_collisions = detect;
-        }
-        let mut m = Machine::with_backend(self.net, rts, backend, direct_cfg);
+        let mut m = Machine::with_backend(self.net, rts, backend);
         if let Some(cfg) = self.tracing {
             m.install_tracing(cfg);
         }
@@ -222,15 +162,9 @@ impl MachineBuilder {
         if let Some(cfg) = self.learning {
             m.install_learning(cfg);
         }
-        for layer in self.layers {
-            m.install_layer(layer);
-        }
         if let Some(policy) = self.checker {
             m.install_checker(policy);
         }
-        if let Some(cfg) = self.progress {
-            m.install_progress(cfg);
-        }
-        Ok(m)
+        m
     }
 }

@@ -37,7 +37,6 @@ impl Machine {
             Ev::DirectLand { handle, recv_cpu } => self.on_direct_land(handle, recv_cpu),
             Ev::DirectGetLand { handle, recv_cpu } => self.on_direct_get_land(handle, recv_cpu),
             Ev::PeLoop { pe } => self.on_pe_loop(pe),
-            Ev::ProgressTick { pe } => self.on_progress_tick(pe),
             Ev::ReduceUp {
                 array,
                 to,
@@ -87,7 +86,7 @@ impl Machine {
     /// the landing, the sanitizer points its virtual clock at the
     /// receiving PE so the registry's lifecycle transitions are
     /// attributed correctly.
-    fn observe_landing(&mut self, handle: HandleId, get: bool) {
+    fn observe_landing(&mut self, handle: HandleId) {
         if self.stack.observing() {
             if let (Ok(pe), Ok(bytes)) =
                 (self.direct.recv_pe(handle), self.direct.wire_bytes(handle))
@@ -98,7 +97,6 @@ impl Machine {
                     at: self.now,
                     handle,
                     bytes: bytes as u64,
-                    get,
                 });
                 self.prof.end(Phase::Layers, t0);
             }
@@ -141,7 +139,7 @@ impl Machine {
     }
 
     fn on_direct_land(&mut self, handle: HandleId, recv_cpu: Time) {
-        self.observe_landing(handle, false);
+        self.observe_landing(handle);
         match self.direct.land(handle) {
             Ok(LandOutcome::AwaitPoll) => {
                 // Polling backend: the receiving scheduler will notice at
@@ -157,61 +155,24 @@ impl Machine {
             }
             Ok(LandOutcome::Notified) => {
                 // Notified backend: the NIC deposited a completion-queue
-                // record; whoever drains first — the async progress tick
-                // or the receiving scheduler — delivers the callback.
+                // record; the receiving scheduler drains it at its next
+                // sweep.
                 let pe = self.direct.recv_pe(handle).expect("live channel");
-                if !self.arm_progress_tick(pe) {
-                    self.ensure_loop(pe, self.cfg.idle_poll_gap);
-                }
+                self.ensure_loop(pe, self.cfg.idle_poll_gap);
             }
             Err(ckdirect::DirectError::CqOverflow) => {
                 // The receiver's bounded CQ is full, so the NIC holds the
                 // put back at the initiator (backpressure, not data loss).
-                // Re-attempt the landing strictly after the next drain
-                // opportunity on the receiver.
+                // Re-attempt the landing strictly after the receiver's
+                // next drain opportunity.
                 let pe = self.direct.recv_pe(handle).expect("live channel");
-                let retry_at = if self.arm_progress_tick(pe) {
-                    self.after_next_progress_tick()
-                } else {
-                    self.ensure_loop(pe, self.cfg.idle_poll_gap);
-                    self.pes[pe.idx()].busy_until.max(self.now)
-                        + self.cfg.idle_poll_gap
-                        + self.cfg.idle_poll_gap
-                };
+                self.ensure_loop(pe, self.cfg.idle_poll_gap);
+                let retry_at = self.pes[pe.idx()].busy_until.max(self.now)
+                    + self.cfg.idle_poll_gap
+                    + self.cfg.idle_poll_gap;
                 self.push_ev(retry_at, Ev::DirectLand { handle, recv_cpu });
             }
             Err(e) => panic!("land on live channel: {e}"),
-        }
-    }
-
-    /// The first instant strictly after the next progress-tick boundary
-    /// (where a CQ-overflow retry is guaranteed to find drained space).
-    fn after_next_progress_tick(&self) -> Time {
-        let tick = self
-            .progress
-            .as_ref()
-            .expect("caller checked progress")
-            .tick;
-        let period = tick.as_ps().max(1);
-        Time::from_ps((self.now.as_ps() / period + 1) * period + 1)
-    }
-
-    /// Async progress tick: drain one CQ batch on `pe` at the modeled
-    /// drain cost, then re-arm while records remain (see `progress.rs`).
-    fn on_progress_tick(&mut self, pe: Pe) {
-        if let Some(prog) = self.progress.as_mut() {
-            prog.armed[pe.idx()] = false;
-        }
-        self.stats.progress_ticks += 1;
-        if self.direct.cq_len(pe) > 0 {
-            let start = self.pes[pe.idx()].busy_until.max(self.now);
-            let elapsed = self.drain_cq_batch(pe, start, Time::ZERO);
-            let st = &mut self.pes[pe.idx()];
-            st.busy_until = start + elapsed;
-            st.stats.busy += elapsed;
-        }
-        if self.direct.cq_len(pe) > 0 {
-            self.arm_progress_tick(pe);
         }
     }
 
@@ -247,7 +208,7 @@ impl Machine {
     }
 
     fn on_direct_get_land(&mut self, handle: HandleId, recv_cpu: Time) {
-        self.observe_landing(handle, true);
+        self.observe_landing(handle);
         let cb = self.direct.land_get(handle).expect("get on live channel");
         let pe = self.direct.recv_pe(handle).expect("live channel");
         self.deliver_landing(pe, recv_cpu, cb, handle);
@@ -384,13 +345,7 @@ impl Machine {
         recv_cpu: Time,
         edge: u64,
     ) {
-        self.observe_event(
-            to.idx(),
-            EventKind::BcastDown {
-                array: array.0,
-                edge,
-            },
-        );
+        self.observe_event(to.idx(), EventKind::BcastDown { edge });
         let st = &mut self.pes[to.idx()];
         st.busy_until = st.busy_until.max(self.now) + recv_cpu;
         st.stats.busy += recv_cpu;

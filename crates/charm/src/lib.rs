@@ -25,11 +25,10 @@ pub mod chare;
 pub mod config;
 pub mod ctx;
 pub(crate) mod exec;
-pub mod layer;
+pub(crate) mod layer;
 pub mod learn;
 pub mod machine;
 pub mod msg;
-pub mod progress;
 pub mod reduction;
 pub(crate) mod rel;
 pub mod stats;
@@ -40,13 +39,9 @@ pub use builder::MachineBuilder;
 pub use chare::{Chare, ChareRef};
 pub use config::{ComputeParams, RtsConfig};
 pub use ctx::{Ctx, PutOutcome};
-pub use layer::{
-    DeliverInfo, Delivery, EventInfo, EventKind, LandingInfo, PutIssueInfo, RuntimeLayer,
-};
 pub use learn::{LearnConfig, LearningTotals};
 pub use machine::Machine;
 pub use msg::{EntryId, Msg, Payload};
-pub use progress::{BuildError, ProgressConfig};
 pub use reduction::{RedOp, RedTarget, RedVal};
 pub use stats::{MachineStats, PeStats, ProtoBreakdown, ProtoCounters};
 // Tracing and self-profiling entry points, re-exported so applications

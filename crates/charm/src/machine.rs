@@ -34,14 +34,14 @@ use ckd_topo::{Dims, Idx, Mapper, Pe};
 use ckd_trace::{
     text_summary, Phase, ProfConfig, Profiler, ProtoClass, Snapshot, TraceConfig, Tracer,
 };
-use ckdirect::{DirectConfig, DirectRegistry, HandleId, RegistryCounters};
+use ckdirect::{DirectRegistry, HandleId, RegistryCounters};
 
 use crate::array::{ArrayId, ArrayInfo};
 use crate::backend::CompletionBackend;
 use crate::builder::MachineBuilder;
 use crate::chare::{Chare, ChareRef};
 use crate::config::RtsConfig;
-use crate::layer::{LayerStack, RuntimeLayer};
+use crate::layer::LayerStack;
 use crate::learn::{LearnConfig, LearningTotals};
 use crate::msg::{EntryId, Msg, Payload};
 use crate::reduction::{RedOp, RedPeState, RedTarget, RedVal};
@@ -94,9 +94,6 @@ pub(crate) enum Ev {
     DirectGetLand { handle: HandleId, recv_cpu: Time },
     /// One scheduler iteration on `pe`.
     PeLoop { pe: Pe },
-    /// Async software-progress tick on `pe`: drain one completion-queue
-    /// batch even if the scheduler is busy or idle (see `progress.rs`).
-    ProgressTick { pe: Pe },
     /// Reduction partial result moving up the PE tree.
     ReduceUp {
         array: ArrayId,
@@ -165,16 +162,13 @@ pub struct Machine {
     /// How put completion is detected (see [`CompletionBackend`]).
     pub(crate) backend: Box<dyn CompletionBackend>,
     /// The composed runtime-layer stack (tracer, sanitizer, learner,
-    /// reliable delivery, user layers).
+    /// reliable delivery).
     pub(crate) stack: LayerStack,
     /// Host-side self-profiler (disabled unless profiling was enabled);
     /// disabled it costs one branch per seam, and `run_until` never even
     /// enters the profiled dispatch loop.
     pub(crate) prof: Profiler,
     pub(crate) stats: MachineStats,
-    /// Async software-progress engine for CQ-draining backends; `None`
-    /// (the default) leaves draining to the scheduler (see `progress.rs`).
-    pub(crate) progress: Option<crate::progress::ProgressState>,
     pub(crate) stop: bool,
     /// Recycled callback-delivery buffers: the scheduler hands these to
     /// entry methods and completion callbacks instead of allocating a
@@ -197,7 +191,6 @@ impl Machine {
         net: NetModel,
         cfg: RtsConfig,
         backend: Box<dyn CompletionBackend>,
-        direct_cfg: DirectConfig,
     ) -> Machine {
         let npes = net.machine().npes();
         Machine {
@@ -216,13 +209,12 @@ impl Machine {
             arrays: Vec::new(),
             locals: Vec::new(),
             chares: Vec::new(),
-            direct: DirectRegistry::new(npes, direct_cfg),
+            direct: DirectRegistry::new(npes, backend.direct_config()),
             red: Vec::new(),
             backend,
             stack: LayerStack::new(),
             prof: Profiler::disabled(),
             stats: MachineStats::default(),
-            progress: None,
             stop: false,
             cb_pool: Vec::new(),
             sweep_pool: Vec::new(),
@@ -273,10 +265,6 @@ impl Machine {
 
     pub(crate) fn install_learning(&mut self, cfg: LearnConfig) {
         self.stack.learner.cfg = Some(cfg);
-    }
-
-    pub(crate) fn install_layer(&mut self, layer: Box<dyn RuntimeLayer>) {
-        self.stack.user.push(layer);
     }
 
     pub(crate) fn install_profiling(&mut self, cfg: ProfConfig) {
@@ -487,9 +475,7 @@ impl Machine {
         self.run_until(Time::MAX)
     }
 
-    /// Run until quiescence, exit, or `limit` virtual time. Each return
-    /// hands the layer stack its [`RuntimeLayer::epilogue`], so a phased
-    /// driver that calls this repeatedly delivers one epilogue per phase.
+    /// Run until quiescence, exit, or `limit` virtual time.
     pub fn run_until(&mut self, limit: Time) -> Time {
         if self.prof.is_enabled() {
             return self.run_until_profiled(limit);
@@ -503,7 +489,6 @@ impl Machine {
             self.dispatch(ev);
         }
         self.debug_assert_quiescent();
-        self.stack.epilogue(&self.stats);
         self.now
     }
 
@@ -533,7 +518,6 @@ impl Machine {
         }
         self.prof.add_host_ns(loop_t0.elapsed().as_nanos() as u64);
         self.debug_assert_quiescent();
-        self.stack.epilogue(&self.stats);
         self.now
     }
 
@@ -606,7 +590,7 @@ impl Machine {
                 .map_or(Footprint::UNKNOWN, |pe| {
                     Footprint::arrival_on(pe.idx(), handle.0)
                 }),
-            Ev::PeLoop { pe } | Ev::ProgressTick { pe } => Footprint::local(pe.idx()),
+            Ev::PeLoop { pe } => Footprint::local(pe.idx()),
             Ev::ReduceUp { to, .. } | Ev::BcastDown { to, .. } => Footprint::arrival(to.idx()),
             Ev::RelDeliver { .. } | Ev::RelAck { .. } | Ev::RelTimer { .. } => Footprint::UNKNOWN,
         }
@@ -622,9 +606,7 @@ fn phase_of(ev: &Ev) -> Phase {
         Ev::MsgArrive { .. } | Ev::PeLoop { .. } | Ev::ReduceUp { .. } | Ev::BcastDown { .. } => {
             Phase::Sched
         }
-        Ev::DirectLand { .. } | Ev::DirectGetLand { .. } | Ev::ProgressTick { .. } => {
-            Phase::Backend
-        }
+        Ev::DirectLand { .. } | Ev::DirectGetLand { .. } => Phase::Backend,
         Ev::RelDeliver { .. } | Ev::RelAck { .. } | Ev::RelTimer { .. } => Phase::Rel,
     }
 }

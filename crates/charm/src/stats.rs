@@ -38,9 +38,6 @@ pub struct MachineStats {
     /// Notification records drained from completion queues, summed over
     /// every PE (notified-put backend only; zero elsewhere).
     pub cq_drains: u64,
-    /// Async software-progress ticks that fired (zero unless the
-    /// progress engine was enabled with `with_progress`).
-    pub progress_ticks: u64,
     /// Per-protocol breakdown of every modeled transfer.
     pub proto: ProtoBreakdown,
     /// Reliability-layer counters (all zero when faults are disabled).

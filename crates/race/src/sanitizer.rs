@@ -39,19 +39,12 @@ pub struct SanitizerConfig {
     /// Keep at most this many diagnostics; later ones are counted but
     /// dropped so a pathological run cannot exhaust memory.
     pub max_diagnostics: usize,
-    /// Flag puts whose issue is causally concurrent with the receiver's
-    /// last re-arm ([`RaceKind::UnsynchronizedPut`]). Runtime-managed
-    /// channels (the message-learning fast path) are always exempt: the
-    /// runtime falls back to a plain message when the registry rejects the
-    /// put, so unsynchronized issue is safe by construction there.
-    pub check_unsynchronized: bool,
 }
 
 impl Default for SanitizerConfig {
     fn default() -> Self {
         SanitizerConfig {
             max_diagnostics: 1024,
-            check_unsynchronized: true,
         }
     }
 }
@@ -238,11 +231,7 @@ impl SanCore {
                 let ev = self.ev(what);
                 let mut diag = None;
                 if let Some(h) = self.handles.get_mut(&handle.0) {
-                    if self.cfg.check_unsynchronized
-                        && !h.managed
-                        && t == Transition::PutIssued
-                        && !h.armed_clock.leq(&snapshot)
-                    {
+                    if !h.managed && t == Transition::PutIssued && !h.armed_clock.leq(&snapshot) {
                         diag = Some(Diagnostic {
                             kind: RaceKind::UnsynchronizedPut,
                             handle: handle.0,
@@ -772,13 +761,7 @@ mod tests {
 
     #[test]
     fn diagnostic_cap_counts_overflow() {
-        let s = Sanitizer::enabled(
-            SanitizerConfig {
-                max_diagnostics: 2,
-                check_unsynchronized: true,
-            },
-            1,
-        );
+        let s = Sanitizer::enabled(SanitizerConfig { max_diagnostics: 2 }, 1);
         for i in 0..5 {
             s.op_failed(
                 0,

@@ -67,7 +67,7 @@ run cargo test --release --offline -q --test trace_determinism
 # Cross-backend differential conformance: all four completion backends
 # (sentinel polling, DCMF callbacks, notified puts, shared-mem flags)
 # must deliver identical data/callbacks on the same apps, each with its
-# own cost signature, and the async-progress engine must be transparent.
+# own cost signature, and CQ backpressure must move no delivered byte.
 run cargo test --release --offline -q --test backend_conformance
 
 # Sweep worker pool: the 64-run acceptance grid on 4 workers must merge

@@ -13,10 +13,10 @@
 
 use std::sync::OnceLock;
 
-use ckd_apps::jacobi3d::{run_jacobi_on, JacobiCfg};
+use ckd_apps::jacobi3d::{run_jacobi_grid_on, JacobiCfg};
 use ckd_apps::{Platform, Variant};
 use ckd_bench::{backends_grid, run_sweep, sweep_json, validate_sweep_json, RunRecord};
-use ckd_charm::ProgressConfig;
+use ckd_charm::backend::NotifiedPut;
 
 /// Execute the 16-point backend grid once and share the records across
 /// the whole suite (each test inspects a different invariant).
@@ -141,41 +141,45 @@ fn backend_grid_json_round_trips_the_schema() {
     assert_eq!(json.matches("\"platform\": \"slingshot\"").count(), 4);
 }
 
-/// The async progress engine only moves *when* CQ drains happen; the
-/// application-visible outcome — numeric result, callback count, data
-/// volume — is untouched. This is the conformance-suite view of the
-/// transparency property `tests/proptest_invariants.rs` proves over
-/// arbitrary interleavings.
+/// CQ backpressure at machine level: with a completion queue one or two
+/// records deep, landings overflow and the NIC re-attempts them after the
+/// receiver's next drain. Backpressure only moves *when* data lands: the
+/// grid, the residual, the put and callback counts and the number of
+/// drained notifications all match the preset's 1024-deep queue, which
+/// never overflows on this run.
 #[test]
-fn progress_engine_is_transparent_to_the_application() {
+fn cq_backpressure_delays_landings_without_changing_results() {
     let cfg = JacobiCfg {
-        domain: [32, 32, 32],
+        domain: [16, 16, 8],
         chares: [4, 2, 2],
-        iters: 12,
+        iters: 6,
         variant: Variant::Ckd,
-        real_compute: false,
+        real_compute: true,
     };
-    let run = |progress: bool| {
+    let run = |depth: Option<usize>| {
         let mut b = Platform::Slingshot.builder(8);
-        if progress {
-            b = b.with_progress(ProgressConfig::default());
+        if let Some(d) = depth {
+            b = b.with_backend(NotifiedPut::with_depth(d));
         }
         let mut m = b.build();
-        let r = run_jacobi_on(&mut m, cfg);
-        (r, m.stats().clone(), m.callback_total())
+        let (r, grid) = run_jacobi_grid_on(&mut m, cfg);
+        let bits: Vec<u64> = grid.iter().map(|x| x.to_bits()).collect();
+        let s = m.stats();
+        let counts = (s.puts, m.callback_total(), s.cq_drains);
+        (
+            r.residual.to_bits(),
+            bits,
+            counts,
+            m.direct_counters().cq_overflows,
+        )
     };
-    let (r0, s0, cb0) = run(false);
-    let (r1, s1, cb1) = run(true);
-    assert_eq!(r0.iters, r1.iters);
-    assert_eq!(r0.residual.to_bits(), r1.residual.to_bits());
-    assert_eq!(r0.lossy_puts, r1.lossy_puts);
-    assert_eq!(cb0, cb1, "progress engine changed the callback count");
-    assert_eq!(s0.puts, s1.puts);
-    assert_eq!(s0.put_bytes, s1.put_bytes);
-    assert_eq!(s0.cq_drains, s1.cq_drains, "every notification drains once");
-    assert_eq!(s0.progress_ticks, 0, "engine off must never tick");
-    assert!(
-        s1.progress_ticks > 0,
-        "engine on never ticked — the cadence is inert"
-    );
+    let (r0, g0, c0, o0) = run(None);
+    assert_eq!(o0, 0, "the preset's CQ overflowed; pick a smaller run");
+    for depth in [1, 2] {
+        let (r, g, c, o) = run(Some(depth));
+        assert!(o > 0, "depth {depth}: the CQ never overflowed");
+        assert_eq!(r, r0, "depth {depth}: residual differs from the preset run");
+        assert!(g == g0, "depth {depth}: grid differs from the preset run");
+        assert_eq!(c, c0, "depth {depth}: (puts, callbacks, cq_drains)");
+    }
 }

@@ -184,82 +184,3 @@ fn stencil_advantage_grows_with_scale() {
         "improvement must grow with PEs: {coarse} -> {fine}"
     );
 }
-
-// ---- builder combination rules ------------------------------------------
-
-/// Illegal knob combinations are named [`BuildError`]s from `try_build`,
-/// not late panics from inside the construction path — and every legal
-/// combination still builds. (These rules used to be scattered asserts
-/// that fired only after the machine was half-built.)
-#[test]
-fn illegal_builder_combinations_are_named_errors() {
-    use ckd_charm::{BuildError, ProgressConfig};
-    use ckd_sim::{IdentityPolicy, Time};
-
-    let checker = || Box::new(IdentityPolicy::default());
-    const SLING: Platform = Platform::Slingshot;
-    // `Machine` is deliberately not `Debug`, so no `unwrap_err` here
-    fn build_err(r: Result<ckd_charm::Machine, BuildError>) -> BuildError {
-        match r {
-            Err(e) => e,
-            Ok(_) => panic!("illegal combination built a machine"),
-        }
-    }
-
-    // no reorder policy models progress-tick commutation
-    let e = build_err(
-        SLING
-            .builder(4)
-            .with_checker(checker())
-            .with_progress(ProgressConfig::default())
-            .try_build(),
-    );
-    assert_eq!(e, BuildError::CheckerWithProgress);
-
-    // a polling backend has no CQ for the progress engine to drain
-    let e = build_err(
-        ABE2.builder(4)
-            .with_progress(ProgressConfig::default())
-            .try_build(),
-    );
-    assert_eq!(e, BuildError::ProgressWithoutCq);
-
-    // a zero-period tick would never advance virtual time
-    let e = build_err(
-        SLING
-            .builder(4)
-            .with_progress(ProgressConfig { tick: Time::ZERO })
-            .try_build(),
-    );
-    assert_eq!(e, BuildError::ZeroProgressTick);
-
-    // each error Displays a human-readable rule, not a Debug dump
-    for err in [
-        BuildError::CheckerWithProgress,
-        BuildError::ProgressWithoutCq,
-        BuildError::ZeroProgressTick,
-    ] {
-        assert!(err.to_string().len() > 20, "{err:?} has no real message");
-    }
-
-    // the legal neighbors of every rejected combination still build
-    assert_eq!(
-        ABE2.builder(4)
-            .with_checker(checker())
-            .try_build()
-            .unwrap()
-            .npes(),
-        4
-    );
-    assert_eq!(ABE2.builder(4).try_build().unwrap().npes(), 4);
-    assert_eq!(
-        SLING
-            .builder(4)
-            .with_progress(ProgressConfig::default())
-            .try_build()
-            .unwrap()
-            .npes(),
-        4
-    );
-    assert_eq!(SLING.builder(4).try_build().unwrap().npes(), 4);
-}

@@ -1173,64 +1173,3 @@ fn bounded_cq_matches_an_unbounded_reference_model() {
         );
     }
 }
-
-/// Progress-tick transparency: a notified-put machine with the async
-/// progress engine enabled (any tick period) must deliver byte-identical
-/// application data to the same machine relying purely on
-/// scheduler-driven drains — the engine may only move *when* CQ drains
-/// happen, never what they deliver.
-#[test]
-fn progress_ticks_are_transparent_to_delivered_data() {
-    use ckd_apps::jacobi3d::{run_jacobi_grid_on, JacobiCfg};
-    use ckd_apps::{Platform, Variant};
-    use ckd_charm::ProgressConfig;
-
-    let mut rng = DetRng::new(0x9106_6E55).stream("progress-transparency");
-    for case in 0..CASES / 8 {
-        let shapes = [
-            ([16, 8, 8], [2, 2, 2]),
-            ([8, 8, 8], [2, 2, 1]),
-            ([16, 16, 8], [4, 2, 2]),
-        ];
-        let (domain, chares) = shapes[rng.range(0, shapes.len() as u64) as usize];
-        let cfg = JacobiCfg {
-            domain,
-            chares,
-            iters: rng.range(2, 8) as u32,
-            variant: Variant::Ckd,
-            real_compute: true,
-        };
-        let tick = ckd_sim::Time::from_ns(rng.range(50, 20_000));
-        let mut base_m = Platform::Slingshot.machine(8);
-        let (base_res, base_grid) = run_jacobi_grid_on(&mut base_m, cfg);
-        let mut prog_m = Platform::Slingshot
-            .builder(8)
-            .with_progress(ProgressConfig { tick })
-            .build();
-        let (res, grid) = run_jacobi_grid_on(&mut prog_m, cfg);
-        assert_eq!(
-            res.residual.to_bits(),
-            base_res.residual.to_bits(),
-            "case {case} tick={tick:?}"
-        );
-        for (i, (a, b)) in grid.iter().zip(&base_grid).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "case {case} tick={tick:?}: grid[{i}]"
-            );
-        }
-        assert_eq!(res.iters, base_res.iters, "case {case}");
-        // same puts, same deliveries, same callbacks — only timing moved
-        let (bs, ps) = (base_m.stats(), prog_m.stats());
-        assert_eq!(ps.puts, bs.puts, "case {case}");
-        assert_eq!(ps.put_bytes, bs.put_bytes, "case {case}");
-        assert_eq!(ps.cq_drains, bs.cq_drains, "case {case}: drain totals");
-        assert_eq!(
-            prog_m.callback_total(),
-            base_m.callback_total(),
-            "case {case}: callback counts"
-        );
-        assert_eq!(bs.progress_ticks, 0, "case {case}: engine-off run ticked");
-    }
-}
