@@ -18,7 +18,7 @@
 //! The *virtual-time* polling cost still scales with `registered` — each
 //! sweep charges `poll_per_handle` per armed handle, faithfully modeling
 //! the paper — but the simulator's *host* cost per sweep is O(`active`):
-//! only the ready rings are walked. `ckd-sweep channels` runs this
+//! only the ready list is walked. `ckd-sweep channels` runs this
 //! workload across 1k→100k registered channels with a fixed active count
 //! (`BENCH_channels.json`, virtual-time results only); `ckd-perf` times
 //! the sweep itself at 1k and 100k armed channels, and `scripts/check.sh`

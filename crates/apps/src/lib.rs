@@ -10,7 +10,7 @@
 //!   optimization the paper needed to make CkDirect profitable there;
 //! * [`chanstorm`] — the §5.2 pathology at modern scale: 100k+ persistent
 //!   channels on one PE with a sparse active window, exercising the
-//!   registry's slab storage and sharded poll rings end to end.
+//!   registry's slab storage and per-PE ready lists end to end.
 //!
 //! Every app supports *real* compute (data verified in tests) and
 //! *modeled* compute (flops charged, buffers truncated) for figure-scale

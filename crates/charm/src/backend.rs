@@ -114,7 +114,6 @@ impl CompletionBackend for IbSentinelPoll {
     fn direct_config(&self) -> DirectConfig {
         DirectConfig {
             backend: DirectBackend::IbPoll,
-            detect_collisions: true,
             cq_depth: 0,
         }
     }
@@ -146,7 +145,6 @@ impl CompletionBackend for DcmfCallback {
     fn direct_config(&self) -> DirectConfig {
         DirectConfig {
             backend: DirectBackend::DcmfCallback,
-            detect_collisions: true,
             cq_depth: 0,
         }
     }
@@ -179,7 +177,6 @@ impl CompletionBackend for SharedMem {
     fn direct_config(&self) -> DirectConfig {
         DirectConfig {
             backend: DirectBackend::DcmfCallback,
-            detect_collisions: true,
             cq_depth: 0,
         }
     }
@@ -309,7 +306,6 @@ mod tests {
         let cfg = backend.direct_config();
         assert_eq!(cfg.backend, DirectBackend::NotifiedPut);
         assert_eq!(cfg.cq_depth, ss.fabric().cq().depth);
-        assert!(!cfg.detect_collisions, "no sentinel word, no collisions");
         // zero depth is clamped rather than wedging every put
         assert_eq!(NotifiedPut::with_depth(0).cq_depth, 1);
     }

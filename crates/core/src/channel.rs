@@ -26,7 +26,7 @@ use crate::strided::StridedSpec;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HandleId(pub u32);
 
-/// Sentinel slot-link value: "no neighbor" in an intrusive ready ring and
+/// Sentinel slot-link value: "no neighbor" in an intrusive ready list and
 /// "end of the freelist" in the slab.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
@@ -127,45 +127,39 @@ pub(crate) struct Channel<C> {
     pub marked: bool,
     /// Present in the owning PE's polling queue.
     pub in_pollq: bool,
-    /// Linked into the owning PE's ready ring (landed, detectable, armed —
+    /// Linked into the owning PE's ready list (landed, detectable, armed —
     /// the next sweep will deliver it).
     pub ready_linked: bool,
-    /// Next slot in the intrusive ready ring ([`NO_SLOT`] when unlinked or
+    /// Next slot in the intrusive ready list ([`NO_SLOT`] when unlinked or
     /// at the tail).
     pub ready_next: u32,
-    /// Previous slot in the intrusive ready ring ([`NO_SLOT`] when unlinked
+    /// Previous slot in the intrusive ready list ([`NO_SLOT`] when unlinked
     /// or at the head).
     pub ready_prev: u32,
     /// Poll-queue insertion sequence on the owning PE. Sweeps deliver in
     /// ascending order of this value — exactly the historical per-PE
     /// `Vec<HandleId>` insertion order.
     pub pollq_seq: u64,
-    /// The owning PE's sweep count when this channel last entered the poll
-    /// queue; `checks` accrues `sweeps - enqueue_sweeps` lazily while the
-    /// channel stays armed.
-    pub enqueue_sweeps: u64,
-    /// Strided receive side: scatter the wire image into this backing
-    /// layout at delivery.
-    pub recv_scatter: Option<(Region, StridedSpec)>,
-    /// Strided send side: gather this backing layout into the wire image
-    /// at put.
-    pub send_gather: Option<(Region, StridedSpec)>,
+    /// Strided layouts of either side (`None` for contiguous channels).
+    pub strided: Option<Box<Strided>>,
     /// Put whose payload's final word equals the pattern: undetectable by
     /// polling (diagnostic, see `DirectError::OobCollision`).
     pub collided: bool,
-    /// Total puts issued on this channel.
+    /// Total puts issued on this channel (the wire sequence number).
     pub puts: u64,
-    /// Total callbacks delivered on this channel.
-    pub deliveries: u64,
-    /// Times this channel's sentinel was examined by a poll sweep.
-    pub checks: u64,
     /// Highest put sequence number that has landed (0 = none yet). Lets the
     /// reliability layer replay a duplicated RDMA put idempotently.
     pub landed_seq: u64,
-    /// Duplicate landings suppressed before delivery.
-    pub dup_landings: u64,
-    /// Corrupted landings detected by the per-put CRC and re-armed.
-    pub corrupt_landings: u64,
+}
+
+/// The strided sides of a channel (the paper's proposed extension).
+#[derive(Default)]
+pub(crate) struct Strided {
+    /// Receive side: scatter the wire image into this backing layout at
+    /// delivery.
+    pub recv: Option<(Region, StridedSpec)>,
+    /// Send side: gather this backing layout into the wire image at put.
+    pub send: Option<(Region, StridedSpec)>,
 }
 
 impl<C> Channel<C> {
@@ -179,8 +173,7 @@ impl<C> Channel<C> {
             oob,
             wire_bytes,
             callback,
-            recv_scatter: None,
-            send_gather: None,
+            strided: None,
             phase: DataPhase::Empty,
             marked: true,
             in_pollq: false,
@@ -188,14 +181,41 @@ impl<C> Channel<C> {
             ready_next: NO_SLOT,
             ready_prev: NO_SLOT,
             pollq_seq: 0,
-            enqueue_sweeps: 0,
             collided: false,
             puts: 0,
-            deliveries: 0,
-            checks: 0,
             landed_seq: 0,
-            dup_landings: 0,
-            corrupt_landings: 0,
         }
+    }
+
+    /// The strided receive side, if any.
+    pub(crate) fn scatter_side(&self) -> Option<&(Region, StridedSpec)> {
+        self.strided.as_ref()?.recv.as_ref()
+    }
+
+    /// The strided send side, if any.
+    pub(crate) fn gather_side(&self) -> Option<&(Region, StridedSpec)> {
+        self.strided.as_ref()?.send.as_ref()
+    }
+
+    /// Gather a strided source into the wire image (no-op when contiguous).
+    pub(crate) fn gather(&self) {
+        if let Some((backing, spec)) = self.gather_side() {
+            spec.gather(backing, self.send.as_ref().expect("associated"));
+        }
+    }
+
+    /// Hand the landed data to the receiver: the channel is `Delivered`
+    /// and unarmed until `ready_mark`, a strided window has been scattered
+    /// into its backing layout, and the callback token is returned.
+    pub(crate) fn deliver(&mut self) -> C
+    where
+        C: Clone,
+    {
+        self.phase = DataPhase::Delivered;
+        self.marked = false;
+        if let Some((backing, spec)) = self.scatter_side() {
+            spec.scatter(&self.recv, backing);
+        }
+        self.callback.clone()
     }
 }

@@ -42,7 +42,7 @@ pub use direct::{crc32, CheckedRecv, CheckedStats};
 pub use error::DirectError;
 pub use region::Region;
 pub use registry::{
-    ChannelCounters, DirectConfig, DirectRegistry, LandOutcome, LifecycleProbe, PutRequest,
-    RegistryCounters, Transition,
+    DirectConfig, DirectRegistry, LandOutcome, LifecycleProbe, PutRequest, RegistryCounters,
+    Transition,
 };
 pub use strided::StridedSpec;

@@ -22,7 +22,7 @@
 //! [`HandleId`], so a stale handle held across a destroy is rejected with
 //! `BadHandle` instead of aliasing the slot's next tenant.
 //!
-//! # Poll plane: sharded hierarchical ready rings
+//! # Poll plane: one ready list per PE
 //!
 //! The historical poll plane kept one `Vec<HandleId>` per PE and rescanned
 //! it linearly every sweep — O(all armed channels) of *host* work per
@@ -32,16 +32,17 @@
 //! * an `armed` counter — how many channels are in the (conceptual)
 //!   polling queue, which is still what a sweep *charges* in virtual time
 //!   (`poll_per_handle × armed`, the paper's modeled cost);
-//! * 64 **ready rings** — intrusive doubly-linked lists, sharded by slot,
-//!   holding only channels whose data has landed detectably; a channel is
-//!   linked by [`DirectRegistry::land`] and unlinked at delivery;
-//! * a one-word **summary** bitmask of non-empty shards.
+//! * one **ready list** — an intrusive doubly-linked list holding only
+//!   channels whose data has landed detectably; a channel is linked by
+//!   [`DirectRegistry::land`] and unlinked at delivery.
 //!
-//! A sweep therefore visits only landed channels (plus one summary-word
-//! scan): O(1) amortized host cost per delivery, independent of how many
-//! idle channels sit registered on the PE. Delivery order, per-channel
-//! `checks`, and every virtual-time cost are byte-identical to the linear
-//! scan — proven by the golden corpus and the determinism suites.
+//! A sweep therefore visits only landed channels: O(1) amortized host cost
+//! per delivery, independent of how many idle channels sit registered on
+//! the PE. Channels join the list in landing order, so the sweep sorts what
+//! it drains by each channel's arming sequence before delivering. Delivery
+//! order and every virtual-time cost are byte-identical to the linear scan
+//! — proven by the golden corpus and the determinism suites. Per-channel
+//! counters are not kept; [`DirectRegistry::counters`] holds the totals.
 //!
 //! The registry is generic over the callback token `C` so this crate stays
 //! free of runtime types.
@@ -56,13 +57,10 @@ use crate::strided::StridedSpec;
 /// Registry-wide configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct DirectConfig {
-    /// Completion-detection style of the machine.
+    /// Completion-detection style of the machine. On `IbPoll`, a put whose
+    /// payload ends with the channel's out-of-band pattern is rejected with
+    /// [`DirectError::OobCollision`]: it would land undetectably.
     pub backend: DirectBackend,
-    /// Reject puts whose payload ends with the channel's out-of-band
-    /// pattern (`DirectError::OobCollision`). With `false`, such a put is
-    /// transferred but never detected — the paper's actual failure mode —
-    /// which some tests exercise deliberately.
-    pub detect_collisions: bool,
     /// Per-PE completion-queue depth (`NotifiedPut` backend only; 0
     /// elsewhere). A landing that would push the queue past this depth is
     /// refused with [`DirectError::CqOverflow`] and nothing changes.
@@ -70,11 +68,10 @@ pub struct DirectConfig {
 }
 
 impl DirectConfig {
-    /// Infiniband-style polling backend with collision detection on.
+    /// Infiniband-style sentinel-polling backend.
     pub fn ib() -> DirectConfig {
         DirectConfig {
             backend: DirectBackend::IbPoll,
-            detect_collisions: true,
             cq_depth: 0,
         }
     }
@@ -83,18 +80,16 @@ impl DirectConfig {
     pub fn bgp() -> DirectConfig {
         DirectConfig {
             backend: DirectBackend::DcmfCallback,
-            detect_collisions: true,
             cq_depth: 0,
         }
     }
 
     /// Notified-RMA backend: puts deposit records in a bounded per-PE
     /// completion queue of `cq_depth` entries (clamped to at least 1).
-    /// There is no sentinel, so collision detection is moot.
+    /// There is no sentinel, so no payload can collide with one.
     pub fn notified(cq_depth: usize) -> DirectConfig {
         DirectConfig {
             backend: DirectBackend::NotifiedPut,
-            detect_collisions: false,
             cq_depth: cq_depth.max(1),
         }
     }
@@ -186,26 +181,6 @@ pub struct RegistryCounters {
     pub cq_overflows: u64,
 }
 
-/// Per-channel lifetime counters (observability snapshot).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChannelCounters {
-    /// Puts issued on this channel.
-    pub puts: u64,
-    /// Callbacks delivered on this channel.
-    pub deliveries: u64,
-    /// Times this channel's sentinel was examined by a poll sweep.
-    pub checks: u64,
-    /// Bytes charged on the wire per put.
-    pub wire_bytes: usize,
-    /// Duplicate landings suppressed on this channel.
-    pub dup_landings: u64,
-    /// Corrupted landings detected (and re-armed) on this channel.
-    pub corrupt_landings: u64,
-}
-
-/// Ready-ring shards per PE (slot `s` hashes to shard `s & 63`).
-const POLL_SHARDS: usize = 64;
-
 /// One slab slot: an occupied channel or a freelist link, plus the
 /// generation tag that outlives both.
 struct SlotEntry<C> {
@@ -216,7 +191,10 @@ struct SlotEntry<C> {
 
 // Channels live *inline* in the slab deliberately: boxing them would put
 // a pointer chase on every chan()/sweep access, and a freed slot's spare
-// bytes are reclaimed the moment the freelist recycles it.
+// bytes are reclaimed the moment the freelist recycles it. The one
+// exception is a channel's strided sides: no paper app uses them, so they
+// sit behind one `Option<Box<_>>` (8 B) instead of 112 B inline in every
+// contiguous channel, and only strided puts and deliveries chase it.
 #[allow(clippy::large_enum_variant)]
 enum SlotState<C> {
     Occupied(Channel<C>),
@@ -224,18 +202,14 @@ enum SlotState<C> {
 }
 
 /// Per-PE poll plane: the counters that replace the historical
-/// `Vec<HandleId>` polling queue, plus the two-level ready structure.
+/// `Vec<HandleId>` polling queue, plus the ready list.
 struct PePoll {
-    /// Bitmask of shards whose ready ring is non-empty.
-    summary: u64,
-    /// Heads of the per-shard intrusive ready rings ([`NO_SLOT`] = empty).
-    heads: [u32; POLL_SHARDS],
+    /// Head of the intrusive ready list ([`NO_SLOT`] = empty).
+    head: u32,
     /// Channels in the (conceptual) polling queue — what a sweep charges.
     armed: usize,
-    /// Channels currently linked in a ready ring (deliverable backlog).
+    /// Channels currently linked in the ready list (deliverable backlog).
     ready: usize,
-    /// Poll sweeps run on this PE (lazy per-channel `checks` accounting).
-    sweeps: u64,
     /// Next poll-queue insertion sequence (delivery ordering).
     next_seq: u64,
     /// Bounded completion queue of landed-but-undelivered notification
@@ -247,11 +221,9 @@ struct PePoll {
 impl PePoll {
     fn new() -> PePoll {
         PePoll {
-            summary: 0,
-            heads: [NO_SLOT; POLL_SHARDS],
+            head: NO_SLOT,
             armed: 0,
             ready: 0,
-            sweeps: 0,
             next_seq: 0,
             cq: std::collections::VecDeque::new(),
         }
@@ -263,28 +235,22 @@ impl PePoll {
         ch.in_pollq = true;
         ch.pollq_seq = self.next_seq;
         self.next_seq += 1;
-        ch.enqueue_sweeps = self.sweeps;
         self.armed += 1;
     }
 }
 
-#[inline]
-fn shard_of(slot: u32) -> usize {
-    (slot as usize) & (POLL_SHARDS - 1)
-}
-
-/// The channel occupying `slot` (ring maintenance only touches live slots).
+/// The channel occupying `slot` (ready-list maintenance only touches live
+/// slots).
 fn occupied_mut<C>(slots: &mut [SlotEntry<C>], slot: u32) -> &mut Channel<C> {
     match &mut slots[slot as usize].state {
         SlotState::Occupied(ch) => ch,
-        SlotState::Free { .. } => unreachable!("ring member in a free slot"),
+        SlotState::Free { .. } => unreachable!("ready-list member in a free slot"),
     }
 }
 
-/// Link `slot` (landed, detectable, armed) into its shard's ready ring.
+/// Link `slot` (landed, detectable, armed) into its PE's ready list.
 fn ring_link<C>(pp: &mut PePoll, slots: &mut [SlotEntry<C>], slot: u32) {
-    let shard = shard_of(slot);
-    let head = pp.heads[shard];
+    let head = pp.head;
     {
         let ch = occupied_mut(slots, slot);
         debug_assert!(!ch.ready_linked);
@@ -295,13 +261,12 @@ fn ring_link<C>(pp: &mut PePoll, slots: &mut [SlotEntry<C>], slot: u32) {
     if head != NO_SLOT {
         occupied_mut(slots, head).ready_prev = slot;
     }
-    pp.heads[shard] = slot;
-    pp.summary |= 1 << shard;
+    pp.head = slot;
     pp.ready += 1;
 }
 
-/// Unlink `slot` from its shard's ready ring (delivery raced ahead of the
-/// sweep, or the channel is being torn down).
+/// Unlink `slot` from its PE's ready list (delivery raced ahead of the
+/// sweep).
 fn ring_unlink<C>(pp: &mut PePoll, slots: &mut [SlotEntry<C>], slot: u32) {
     let (prev, next) = {
         let ch = occupied_mut(slots, slot);
@@ -318,12 +283,8 @@ fn ring_unlink<C>(pp: &mut PePoll, slots: &mut [SlotEntry<C>], slot: u32) {
     if next != NO_SLOT {
         occupied_mut(slots, next).ready_prev = prev;
     }
-    let shard = shard_of(slot);
     if prev == NO_SLOT {
-        pp.heads[shard] = next;
-        if next == NO_SLOT {
-            pp.summary &= !(1u64 << shard);
-        }
+        pp.head = next;
     }
     pp.ready -= 1;
 }
@@ -506,7 +467,11 @@ impl<C: Clone> DirectRegistry<C> {
         }
         let wire = Region::alloc(spec.payload_len());
         let id = self.create_handle(recv_pe, wire, oob, callback)?;
-        self.chan_mut(id).expect("just created").recv_scatter = Some((backing, spec));
+        self.chan_mut(id)
+            .expect("just created")
+            .strided
+            .get_or_insert_with(Box::default)
+            .recv = Some((backing, spec));
         Ok(id)
     }
 
@@ -526,7 +491,10 @@ impl<C: Clone> DirectRegistry<C> {
         let ch_oob = self.chan(handle)?.oob;
         wire.set_last_word(!ch_oob);
         self.assoc_local(handle, send_pe, wire)?;
-        self.chan_mut(handle)?.send_gather = Some((backing, spec));
+        self.chan_mut(handle)?
+            .strided
+            .get_or_insert_with(Box::default)
+            .send = Some((backing, spec));
         Ok(())
     }
 
@@ -535,8 +503,7 @@ impl<C: Clone> DirectRegistry<C> {
     pub fn strided_recv_bytes(&self, handle: HandleId) -> Result<Option<usize>, DirectError> {
         Ok(self
             .chan(handle)?
-            .recv_scatter
-            .as_ref()
+            .scatter_side()
             .map(|(_, s)| s.payload_len()))
     }
 
@@ -545,19 +512,14 @@ impl<C: Clone> DirectRegistry<C> {
     pub fn strided_send_bytes(&self, handle: HandleId) -> Result<Option<usize>, DirectError> {
         Ok(self
             .chan(handle)?
-            .send_gather
-            .as_ref()
+            .gather_side()
             .map(|(_, s)| s.payload_len()))
     }
 
     /// The strided receive backing (reading it after delivery *is* reading
     /// the landed data in its application layout).
     pub fn recv_backing(&self, handle: HandleId) -> Result<Option<Region>, DirectError> {
-        Ok(self
-            .chan(handle)?
-            .recv_scatter
-            .as_ref()
-            .map(|(r, _)| r.clone()))
+        Ok(self.chan(handle)?.scatter_side().map(|(r, _)| r.clone()))
     }
 
     /// `CkDirect_assocLocal`: bind the sender-side buffer. The same local
@@ -588,7 +550,6 @@ impl<C: Clone> DirectRegistry<C> {
     /// the bytes move when the executor later calls [`Self::land`].
     pub fn put(&mut self, handle: HandleId, from_pe: Pe) -> Result<PutRequest, DirectError> {
         let backend = self.cfg.backend;
-        let detect = self.cfg.detect_collisions;
         let ch = self.chan_mut(handle)?;
         let send_pe = ch.send_pe.ok_or(DirectError::NotAssociated)?;
         if send_pe != from_pe {
@@ -599,21 +560,16 @@ impl<C: Clone> DirectRegistry<C> {
             DataPhase::Delivered => return Err(DirectError::Overwrite),
             DataPhase::Empty => {}
         }
-        if let Some((backing, spec)) = &ch.send_gather {
-            // strided source: gather the blocks into the wire image now
-            spec.gather(backing, ch.send.as_ref().expect("associated"));
-        }
+        // strided source: gather the blocks into the wire image now
+        ch.gather();
         if backend == DirectBackend::IbPoll {
             // The receiver must have re-armed the sentinel (create_handle or
             // ready_mark) or the put could land undetectably.
             if !ch.marked {
                 return Err(DirectError::Overwrite);
             }
-            if detect {
-                let src = ch.send.as_ref().expect("associated");
-                if src.last_word() == ch.oob {
-                    return Err(DirectError::OobCollision);
-                }
+            if ch.send.as_ref().expect("associated").last_word() == ch.oob {
+                return Err(DirectError::OobCollision);
             }
         }
         ch.phase = DataPhase::InFlight;
@@ -648,9 +604,7 @@ impl<C: Clone> DirectRegistry<C> {
             DataPhase::Delivered => return Err(DirectError::Overwrite),
             DataPhase::Empty => {}
         }
-        if let Some((backing, spec)) = &ch.send_gather {
-            spec.gather(backing, ch.send.as_ref().expect("associated"));
-        }
+        ch.gather();
         ch.phase = DataPhase::InFlight;
         ch.puts += 1;
         let seq = ch.puts;
@@ -673,13 +627,7 @@ impl<C: Clone> DirectRegistry<C> {
         debug_assert_eq!(ch.phase, DataPhase::InFlight);
         let src = ch.send.as_ref().ok_or(DirectError::NotAssociated)?;
         ch.recv.copy_from_region(src);
-        ch.phase = DataPhase::Delivered;
-        ch.marked = false;
-        ch.deliveries += 1;
-        if let Some((backing, spec)) = &ch.recv_scatter {
-            spec.scatter(&ch.recv, backing);
-        }
-        let cb = ch.callback.clone();
+        let cb = ch.deliver();
         self.total_deliveries += 1;
         self.emit(handle, Transition::Delivered);
         Ok(cb)
@@ -717,7 +665,7 @@ impl<C: Clone> DirectRegistry<C> {
                 }
                 let pe = ch.recv_pe;
                 // A detectable landing on an armed channel is exactly what
-                // the next sweep will deliver: expose it to the ready rings
+                // the next sweep will deliver: expose it to the ready list
                 // so the sweep finds it without scanning the idle herd.
                 if detectable && ch.in_pollq {
                     ring_link(&mut self.polls[pe.idx()], &mut self.slots, handle.slot());
@@ -726,13 +674,7 @@ impl<C: Clone> DirectRegistry<C> {
                 Ok(LandOutcome::AwaitPoll)
             }
             DirectBackend::DcmfCallback => {
-                ch.phase = DataPhase::Delivered;
-                ch.marked = false;
-                ch.deliveries += 1;
-                if let Some((backing, spec)) = &ch.recv_scatter {
-                    spec.scatter(&ch.recv, backing);
-                }
-                let cb = ch.callback.clone();
+                let cb = ch.deliver();
                 self.total_deliveries += 1;
                 self.emit(handle, Transition::Landed);
                 self.emit(handle, Transition::Delivered);
@@ -764,7 +706,6 @@ impl<C: Clone> DirectRegistry<C> {
     pub fn accept_landing(&mut self, handle: HandleId, seq: u64) -> Result<bool, DirectError> {
         let ch = self.chan_mut(handle)?;
         if seq <= ch.landed_seq {
-            ch.dup_landings += 1;
             self.total_dup_landings += 1;
             return Ok(false);
         }
@@ -786,7 +727,6 @@ impl<C: Clone> DirectRegistry<C> {
             return Ok(false);
         }
         debug_assert_eq!(ch.phase, DataPhase::InFlight, "corruption outside a put?");
-        ch.corrupt_landings += 1;
         self.total_corrupt_landings += 1;
         Ok(true)
     }
@@ -798,7 +738,7 @@ impl<C: Clone> DirectRegistry<C> {
     /// The `checked` count is returned so the scheduler can charge
     /// `poll_per_handle × checked` — the overhead that §5.2 of the paper
     /// shows swamping OpenAtom when thousands of channels stay queued. The
-    /// *host* cost, by contrast, is O(deliveries): only the ready rings are
+    /// *host* cost, by contrast, is O(deliveries): only the ready list is
     /// walked, never the armed herd.
     ///
     /// Allocation-free variant: deliveries are appended to `out` (cleared
@@ -806,37 +746,27 @@ impl<C: Clone> DirectRegistry<C> {
     pub fn poll_sweep_into(&mut self, pe: Pe, out: &mut Vec<(HandleId, C)>) -> usize {
         debug_assert_eq!(self.cfg.backend, DirectBackend::IbPoll);
         let pp = &mut self.polls[pe.idx()];
-        pp.sweeps += 1;
-        let sweeps_now = pp.sweeps;
         let checked = pp.armed;
         self.total_poll_checks += checked as u64;
 
-        // Drain every non-empty shard ring; the summary word skips the rest.
         let mut ready = std::mem::take(&mut self.scratch);
         debug_assert!(ready.is_empty());
-        let mut summary = pp.summary;
-        while summary != 0 {
-            let shard = summary.trailing_zeros() as usize;
-            summary &= summary - 1;
-            let mut slot = pp.heads[shard];
-            while slot != NO_SLOT {
-                let ch = occupied_mut(&mut self.slots, slot);
-                debug_assert!(ch.ready_linked);
-                let next = ch.ready_next;
-                ch.ready_linked = false;
-                ch.ready_prev = NO_SLOT;
-                ch.ready_next = NO_SLOT;
-                ready.push((ch.pollq_seq, slot));
-                slot = next;
-            }
-            pp.heads[shard] = NO_SLOT;
+        let mut slot = std::mem::replace(&mut pp.head, NO_SLOT);
+        while slot != NO_SLOT {
+            let ch = occupied_mut(&mut self.slots, slot);
+            debug_assert!(ch.ready_linked);
+            let next = ch.ready_next;
+            ch.ready_linked = false;
+            ch.ready_prev = NO_SLOT;
+            ch.ready_next = NO_SLOT;
+            ready.push((ch.pollq_seq, slot));
+            slot = next;
         }
-        pp.summary = 0;
         debug_assert_eq!(pp.ready, ready.len());
         pp.ready = 0;
         pp.armed -= ready.len();
-        // Replay queue-insertion order: byte-identical delivery order to
-        // the historical linear scan.
+        // The list holds landing order; replay arming order instead:
+        // byte-identical delivery order to the historical linear scan.
         ready.sort_unstable();
 
         for &(_, slot) in &ready {
@@ -846,17 +776,8 @@ impl<C: Clone> DirectRegistry<C> {
                 unreachable!("ready channel in a free slot")
             };
             debug_assert!(ch.phase == DataPhase::Landed && ch.recv.last_word() != ch.oob);
-            ch.phase = DataPhase::Delivered;
-            ch.marked = false;
             ch.in_pollq = false;
-            // Settle the lazy sweep accounting: every sweep since this
-            // channel entered the queue examined it, this one included.
-            ch.checks += sweeps_now - ch.enqueue_sweeps;
-            ch.deliveries += 1;
-            if let Some((backing, spec)) = &ch.recv_scatter {
-                spec.scatter(&ch.recv, backing);
-            }
-            let cb = ch.callback.clone();
+            let cb = ch.deliver();
             self.total_deliveries += 1;
             out.push((id, cb));
             if let Some(p) = self.probe.as_mut() {
@@ -896,13 +817,7 @@ impl<C: Clone> DirectRegistry<C> {
                 unreachable!("CQ record for a free slot")
             };
             debug_assert_eq!(ch.phase, DataPhase::Landed, "{id:?} drained twice?");
-            ch.phase = DataPhase::Delivered;
-            ch.marked = false;
-            ch.deliveries += 1;
-            if let Some((backing, spec)) = &ch.recv_scatter {
-                spec.scatter(&ch.recv, backing);
-            }
-            let cb = ch.callback.clone();
+            let cb = ch.deliver();
             self.total_deliveries += 1;
             self.total_cq_drains += 1;
             out.push((id, cb));
@@ -976,18 +891,11 @@ impl<C: Clone> DirectRegistry<C> {
         match phase {
             DataPhase::Landed if detectable => {
                 // Data raced ahead of the poll-queue insertion: deliver now
-                // (and retract it from the rings — no sweep may see it).
+                // (and retract it from the ready list — no sweep may see it).
                 if linked {
                     ring_unlink(&mut self.polls[pe.idx()], &mut self.slots, handle.slot());
                 }
-                let ch = occupied_mut(&mut self.slots, handle.slot());
-                ch.phase = DataPhase::Delivered;
-                ch.marked = false;
-                ch.deliveries += 1;
-                if let Some((backing, spec)) = &ch.recv_scatter {
-                    spec.scatter(&ch.recv, backing);
-                }
-                let cb = ch.callback.clone();
+                let cb = occupied_mut(&mut self.slots, handle.slot()).deliver();
                 self.total_deliveries += 1;
                 self.emit(handle, Transition::Delivered);
                 Ok(Some(cb))
@@ -1049,7 +957,7 @@ impl<C: Clone> DirectRegistry<C> {
             return Err(DirectError::PutInFlight);
         }
         let slot = handle.slot();
-        // Not Landed ⇒ never linked in a ready ring.
+        // Not Landed ⇒ never linked in a ready list.
         debug_assert!(!self.chan(handle).expect("validated").ready_linked);
         if in_pollq {
             self.polls[pe.idx()].armed -= 1;
@@ -1101,14 +1009,9 @@ impl<C: Clone> DirectRegistry<C> {
     }
 
     /// Armed channels whose data has landed detectably and awaits the next
-    /// sweep — the machine-wide deliverable backlog (ready-ring occupancy).
+    /// sweep — the machine-wide deliverable backlog (ready-list occupancy).
     pub fn ready_total(&self) -> usize {
         self.polls.iter().map(|p| p.ready).sum()
-    }
-
-    /// Poll sweeps run across every PE.
-    pub fn sweep_count(&self) -> u64 {
-        self.polls.iter().map(|p| p.sweeps).sum()
     }
 
     /// Total channels ever created.
@@ -1138,27 +1041,6 @@ impl<C: Clone> DirectRegistry<C> {
             cq_drains: self.total_cq_drains,
             cq_overflows: self.total_cq_overflows,
         }
-    }
-
-    /// Per-channel lifetime counters (observability snapshot).
-    pub fn channel_counters(&self, handle: HandleId) -> Result<ChannelCounters, DirectError> {
-        let ch = self.chan(handle)?;
-        // Queued channels accrue `checks` lazily: one per sweep since they
-        // entered the queue (see `poll_sweep_into`, which settles the
-        // balance at delivery).
-        let pending = if ch.in_pollq {
-            self.polls[ch.recv_pe.idx()].sweeps - ch.enqueue_sweeps
-        } else {
-            0
-        };
-        Ok(ChannelCounters {
-            puts: ch.puts,
-            deliveries: ch.deliveries,
-            checks: ch.checks + pending,
-            wire_bytes: ch.wire_bytes,
-            dup_landings: ch.dup_landings,
-            corrupt_landings: ch.corrupt_landings,
-        })
     }
 
     fn chan(&self, handle: HandleId) -> Result<&Channel<C>, DirectError> {
@@ -1244,12 +1126,9 @@ mod tests {
         let delivered = land_and_sweep(&mut reg, h);
         assert_eq!(delivered.len(), 1);
         assert_eq!(recv.to_vec()[0], 4);
-        assert_eq!(reg.counters().puts, 2);
-        assert_eq!(reg.counters().deliveries, 2);
-        let cc = reg.channel_counters(h).unwrap();
-        assert_eq!(cc.puts, 2);
-        assert_eq!(cc.deliveries, 2);
-        assert!(cc.checks >= 2);
+        let c = reg.counters();
+        assert_eq!((c.puts, c.deliveries), (2, 2));
+        assert_eq!(c.poll_checks, 2, "one armed channel, two sweeps");
     }
 
     #[test]
@@ -1297,7 +1176,6 @@ mod tests {
         assert!(!reg.accept_landing(h, req.seq).unwrap());
         assert_eq!(reg.phase(h).unwrap(), DataPhase::Empty);
         assert_eq!(reg.counters().dup_landings, 2);
-        assert_eq!(reg.channel_counters(h).unwrap().dup_landings, 2);
         // the next genuine put is fresh
         let req2 = reg.put(h, Pe(0)).unwrap();
         assert_eq!(req2.seq, 2);
@@ -1321,7 +1199,7 @@ mod tests {
         assert_eq!(delivered, vec![(h, 7)]);
         assert_eq!(recv.to_vec(), vec![6u8; 64]);
         assert_eq!(reg.counters().puts, 1, "one logical put despite the retry");
-        assert_eq!(reg.channel_counters(h).unwrap().corrupt_landings, 1);
+        assert_eq!(reg.counters().corrupt_landings, 1);
         // a damaged *replay* of the already-consumed put protects nothing:
         // ignored, whatever phase the channel is in by now
         assert!(!reg.corrupt_landing(h, req.seq).unwrap());
@@ -1379,20 +1257,14 @@ mod tests {
 
     #[test]
     fn oob_collision_unchecked_is_silent_loss() {
-        // With detection off we reproduce the paper's failure mode: the put
-        // lands but polling never notices.
-        let mut cfg = DirectConfig::ib();
-        cfg.detect_collisions = false;
-        let (mut reg, h, send, _recv) = {
-            let mut reg = Reg::new(2, cfg);
-            let recv = Region::alloc(64);
-            let send = Region::alloc(64);
-            let h = reg.create_handle(Pe(1), recv.clone(), u64::MAX, 7).unwrap();
-            reg.assoc_local(h, Pe(0), send.clone()).unwrap();
-            (reg, h, send, recv)
-        };
-        send.fill(0xFF); // last word == u64::MAX == the pattern
+        // The paper's failure mode, past the put-time check: the source is
+        // read at landing (as a NIC DMA-reads it in flight), so a sender
+        // that rewrites its window to end with the pattern after `put`
+        // lands a payload that polling never notices.
+        let (mut reg, h, send, _recv) = setup(DirectConfig::ib());
+        send.fill(1);
         reg.put(h, Pe(0)).unwrap();
+        send.set_last_word(u64::MAX); // the pattern, written in flight
         reg.land(h).unwrap();
         let mut delivered = Vec::new();
         assert_eq!(reg.poll_sweep_into(Pe(1), &mut delivered), 1);
@@ -1467,7 +1339,7 @@ mod tests {
     fn ready_poll_q_delivery_while_queued_keeps_the_slot_armed() {
         // ready_poll_q during the InFlight window, then a second
         // ready_poll_q after the landing: the raced delivery must retract
-        // the channel from the ready rings (no sweep may double-deliver)
+        // the channel from the ready list (no sweep may double-deliver)
         // while the handle stays in the polling queue, exactly like the
         // historical Vec-based plane.
         let (mut reg, h, send, _r) = setup(DirectConfig::ib());
@@ -1487,7 +1359,7 @@ mod tests {
         assert_eq!(reg.ready_total(), 1);
         let cb = reg.ready_poll_q(h).unwrap();
         assert_eq!(cb, Some(7), "raced landing delivered at ReadyPollQ");
-        assert_eq!(reg.ready_total(), 0, "retracted from the ready rings");
+        assert_eq!(reg.ready_total(), 0, "retracted from the ready list");
         // historical semantics: the queue entry (and its sweep charge)
         // survives the raced delivery until the handle cycles again
         assert_eq!(reg.pollq_len(Pe(1)), 1);
@@ -1573,8 +1445,8 @@ mod tests {
     #[test]
     fn sweep_checks_every_armed_handle() {
         // polling cost scales with queue length — the OpenAtom pathology.
-        // (The *charged* cost, that is; the host now only walks the ready
-        // rings, which is the whole point of the sharded poll plane.)
+        // (The *charged* cost, that is; the host only walks the ready list,
+        // which holds landed channels alone.)
         let mut reg = Reg::new(1, DirectConfig::ib());
         for _ in 0..50 {
             reg.create_handle(Pe(0), Region::alloc(16), u64::MAX, 0)
@@ -1587,39 +1459,39 @@ mod tests {
     }
 
     #[test]
-    fn lazy_check_accounting_matches_the_linear_scan() {
-        // Idle queued channels accrue one `checks` per sweep without the
-        // sweep ever visiting them; a delivered channel's final balance
-        // includes its delivering sweep — exactly the linear scan's counts.
+    fn sweeps_charge_armed_channels_until_delivery() {
+        // Every sweep charges one check per armed channel, the delivering
+        // sweep included; a delivered channel stops being charged until it
+        // is re-armed — exactly the linear scan's counts.
         let mut reg = Reg::new(1, DirectConfig::ib());
-        let recv = Region::alloc(16);
         let send = Region::alloc(16);
-        let idle = reg
-            .create_handle(Pe(0), Region::alloc(16), u64::MAX, 0)
+        reg.create_handle(Pe(0), Region::alloc(16), u64::MAX, 0)
             .unwrap();
-        let busy = reg.create_handle(Pe(0), recv, u64::MAX, 1).unwrap();
+        let busy = reg
+            .create_handle(Pe(0), Region::alloc(16), u64::MAX, 1)
+            .unwrap();
         reg.assoc_local(busy, Pe(0), send.clone()).unwrap();
         sweep(&mut reg, Pe(0));
         sweep(&mut reg, Pe(0));
-        assert_eq!(reg.channel_counters(idle).unwrap().checks, 2);
-        assert_eq!(reg.channel_counters(busy).unwrap().checks, 2);
+        assert_eq!(reg.counters().poll_checks, 4);
         send.fill(3);
         reg.put(busy, Pe(0)).unwrap();
         reg.land(busy).unwrap();
         assert_eq!(sweep(&mut reg, Pe(0)).len(), 1);
-        // the delivering sweep counted for both channels
-        assert_eq!(reg.channel_counters(idle).unwrap().checks, 3);
-        assert_eq!(reg.channel_counters(busy).unwrap().checks, 3);
-        // delivered channel's balance is settled: further sweeps are free
+        assert_eq!(
+            reg.counters().poll_checks,
+            6,
+            "delivering sweep charged both"
+        );
         sweep(&mut reg, Pe(0));
-        assert_eq!(reg.channel_counters(idle).unwrap().checks, 4);
-        assert_eq!(reg.channel_counters(busy).unwrap().checks, 3);
+        assert_eq!(reg.counters().poll_checks, 7, "only the idle one is armed");
+        assert_eq!(reg.counters().deliveries, 1);
     }
 
     #[test]
     fn sweep_host_cost_is_proportional_to_deliveries() {
         // The structural O(active) claim, testable without a clock: a
-        // sweep's ready-ring drain touches only landed channels, so the
+        // sweep's ready-list drain touches only landed channels, so the
         // deliverable backlog (ready_total) — not the armed herd — bounds
         // the walk. 10_000 armed idlers, 3 landed: backlog is 3.
         let mut reg = Reg::new(1, DirectConfig::ib());
@@ -1640,7 +1512,7 @@ mod tests {
             reg.put(h, Pe(0)).unwrap();
             reg.land(h).unwrap();
         }
-        assert_eq!(reg.ready_total(), 3, "only landed channels are ringed");
+        assert_eq!(reg.ready_total(), 3, "only landed channels are listed");
         let mut delivered = Vec::new();
         assert_eq!(
             reg.poll_sweep_into(Pe(0), &mut delivered),
@@ -1743,6 +1615,15 @@ mod tests {
             .unwrap();
         assert_eq!(h2.slot(), h0.slot());
         assert_eq!(h2.generation(), 1);
+    }
+
+    #[test]
+    fn channel_and_poll_plane_stay_lean() {
+        // `[u32; 4]` stands in for the runtime's 16-B `DirectCb` token.
+        let channel = std::mem::size_of::<Channel<[u32; 4]>>();
+        let poll = std::mem::size_of::<PePoll>();
+        assert!(channel <= 160, "Channel grew to {channel} B");
+        assert!(poll <= 64, "PePoll grew to {poll} B");
     }
 
     #[test]

@@ -537,11 +537,13 @@ fn slab_registry_matches_a_naive_reference_model() {
     }
 }
 
-/// Delivery-order equivalence of the sharded ready rings against the
-/// naive `Vec`-scan poll queue they replaced: for arbitrary landing
-/// subsets, re-arms and interleaved sweeps, the rings deliver exactly
-/// what a linear scan of the insertion-ordered `Vec` would — the
-/// byte-identity argument for the whole poll-plane swap, in isolation.
+/// Delivery-order equivalence of the per-PE ready list against the naive
+/// `Vec`-scan poll queue it replaced: for arbitrary landing subsets, landed
+/// in shuffled order, with re-arms and interleaved sweeps, the list
+/// delivers exactly what a linear scan of the arming-ordered `Vec` would —
+/// the byte-identity argument for the whole poll-plane swap, in isolation.
+/// Landing order is not arming order, so a list that delivered in landing
+/// order would fail here.
 #[test]
 fn ring_sweep_order_matches_the_vec_pollq_reference() {
     let mut rng = DetRng::new(0x9106).stream("ring-vs-vec");
@@ -561,14 +563,21 @@ fn ring_sweep_order_matches_the_vec_pollq_reference() {
             .collect();
         let mut idle: Vec<ckdirect::HandleId> = Vec::new(); // delivered, un-rearmed
         for round in 0..rng.range(2, 12) {
-            // a random subset of armed channels receives a put+landing
-            let mut landed = Vec::new();
-            for &h in &vec_pollq {
-                if rng.chance(0.3) {
-                    reg.put(h, Pe(0)).unwrap();
-                    reg.land(h).unwrap();
-                    landed.push(h);
-                }
+            // a random subset of armed channels receives a put; the puts
+            // land in a shuffled order (Fisher-Yates)
+            let landed: Vec<ckdirect::HandleId> = vec_pollq
+                .iter()
+                .copied()
+                .filter(|_| rng.chance(0.3))
+                .collect();
+            let mut landing_order = landed.clone();
+            for i in (1..landing_order.len()).rev() {
+                let j = rng.range(0, i as u64 + 1) as usize;
+                landing_order.swap(i, j);
+            }
+            for &h in &landing_order {
+                reg.put(h, Pe(0)).unwrap();
+                reg.land(h).unwrap();
             }
             let mut delivered = Vec::new();
             let checked = reg.poll_sweep_into(Pe(1), &mut delivered);
