@@ -3,6 +3,7 @@
 
 use ckd_topo::Pe;
 
+use crate::error::DirectError;
 use crate::region::Region;
 use crate::strided::StridedSpec;
 
@@ -108,8 +109,10 @@ pub(crate) struct Channel<C> {
     pub recv_pe: Pe,
     /// Receive window (registered at `create_handle`).
     pub recv: Region,
-    /// PE hosting the send buffer, once `assoc_local` ran.
-    pub send_pe: Option<Pe>,
+    /// PE hosting the send buffer; meaningful only once `send` is set (a
+    /// bare `Pe`, not an `Option`, keeps the channel at 144 B — see
+    /// [`Channel::send_pe`]).
+    pub send_pe: Pe,
     /// Send window, once `assoc_local` ran.
     pub send: Option<Region>,
     /// The out-of-band pattern for this channel.
@@ -150,6 +153,12 @@ pub(crate) struct Channel<C> {
     /// Highest put sequence number that has landed (0 = none yet). Lets the
     /// reliability layer replay a duplicated RDMA put idempotently.
     pub landed_seq: u64,
+    /// Write-clock value at which `recv` last held `send`'s bytes (0 =
+    /// never, and always for overlapping windows): while neither window's
+    /// buffer is stamped past it, the two still agree.
+    pub synced: u64,
+    /// `ready_mark` re-armed `recv`'s sentinel since `synced`.
+    pub rearmed: bool,
 }
 
 /// The strided sides of a channel (the paper's proposed extension).
@@ -168,7 +177,7 @@ impl<C> Channel<C> {
         Channel {
             recv_pe,
             recv,
-            send_pe: None,
+            send_pe: recv_pe,
             send: None,
             oob,
             wire_bytes,
@@ -184,6 +193,16 @@ impl<C> Channel<C> {
             collided: false,
             puts: 0,
             landed_seq: 0,
+            synced: 0,
+            rearmed: false,
+        }
+    }
+
+    /// The PE hosting the send buffer, once `assoc_local` ran.
+    pub(crate) fn send_pe(&self) -> Result<Pe, DirectError> {
+        match self.send {
+            Some(_) => Ok(self.send_pe),
+            None => Err(DirectError::NotAssociated),
         }
     }
 
@@ -202,6 +221,43 @@ impl<C> Channel<C> {
         if let Some((backing, spec)) = self.gather_side() {
             spec.gather(backing, self.send.as_ref().expect("associated"));
         }
+    }
+
+    /// Land the put: leave `recv` holding exactly the bytes a full copy of
+    /// `send` at landing time would, copying only what can differ since the
+    /// last landing — nothing if neither window's buffer was written, the
+    /// last word if `ready_mark`'s re-arm was the only write. Returns the
+    /// bytes copied.
+    pub(crate) fn land_bytes(&mut self) -> Result<usize, DirectError> {
+        let send = self.send.as_ref().ok_or(DirectError::NotAssociated)?;
+        let send_clean = send.stamp() <= self.synced;
+        if send_clean && self.recv.stamp() <= self.synced {
+            return Ok(0);
+        }
+        // The re-arm was `recv`'s only write since: just its last word differs.
+        let copied = if send_clean && self.rearmed && self.recv.prev_stamp() <= self.synced {
+            self.recv.set_last_word(send.last_word());
+            8
+        } else {
+            self.recv.copy_from_region(send);
+            self.recv.len()
+        };
+        // Overlapping windows of one buffer: the copy rewrote part of its
+        // own source, so the two no longer agree.
+        self.synced = if self.recv.overlaps(send) {
+            0
+        } else {
+            self.recv.stamp()
+        };
+        self.rearmed = false;
+        Ok(copied)
+    }
+
+    /// Re-arm the sentinel (`ready_mark`).
+    pub(crate) fn rearm(&mut self) {
+        self.recv.set_last_word(self.oob);
+        self.rearmed = true;
+        self.marked = true;
     }
 
     /// Hand the landed data to the receiver: the channel is `Delivered`

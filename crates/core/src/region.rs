@@ -2,22 +2,86 @@
 //! between.
 //!
 //! A [`Region`] is a `(buffer, offset, len)` view into a shared byte
-//! allocation. Sharing (`Rc<RefCell<…>>`) is what lets a chare register *the
-//! middle of its own matrix* as a receive window — the paper's motivating
-//! example ("a row in the middle of a matrix") — while the runtime performs
-//! the put into the very same storage with no copy on the receive side.
+//! allocation. Sharing (`Rc`) is what lets a chare register *the middle of
+//! its own matrix* as a receive window — the paper's motivating example ("a
+//! row in the middle of a matrix") — while the runtime performs the put
+//! into the very same storage with no copy on the receive side.
+//!
+//! # Write stamps
+//!
+//! Every buffer carries the **stamp** of its last write (and of the write
+//! before it): a value drawn from a monotone, thread-local write clock each
+//! time the buffer is borrowed mutably. The only mutable borrow is
+//! [`Region`]'s own (`with_mut` and the writers built on it); [`SharedBuf`]
+//! hands out nothing but a read-only [`SharedBuf::borrow`]. So no byte of a
+//! buffer can change without its stamp rising past every stamp drawn
+//! before — which lets a channel prove that neither of its windows was
+//! written since its last landing, and skip re-copying bytes the receive
+//! window already holds (`Channel::land_bytes`). The clock is per thread
+//! because a buffer is `Rc`-shared and never leaves the thread that
+//! allocated it.
 
-use std::cell::RefCell;
+use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::rc::Rc;
 
 use crate::error::DirectError;
 
-/// A shared, growable byte buffer that regions can be carved from.
-pub type SharedBuf = Rc<RefCell<Vec<u8>>>;
+thread_local! {
+    /// The last stamp handed out on this thread (0 = none yet).
+    static WRITE_CLOCK: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Draw the next stamp from this thread's write clock.
+fn tick() -> u64 {
+    WRITE_CLOCK.with(|c| {
+        let t = c.get() + 1;
+        c.set(t);
+        t
+    })
+}
+
+/// A shared byte buffer that regions can be carved from. Cloning shares
+/// the storage. Reads go through [`SharedBuf::borrow`]; writes only through
+/// a [`Region`] over it, and each one stamps the buffer (see the module
+/// docs).
+#[derive(Clone)]
+pub struct SharedBuf(Rc<Stamped>);
+
+struct Stamped {
+    /// Buffers never grow, so a boxed slice, not a `Vec`: its 8 saved
+    /// bytes pay for `prev`.
+    bytes: RefCell<Box<[u8]>>,
+    /// Write-clock value of the latest mutable borrow; allocation counts as
+    /// a write, so no buffer carries stamp 0.
+    stamp: Cell<u64>,
+    /// The stamp before `stamp` (0 before the first write).
+    prev: Cell<u64>,
+}
+
+impl SharedBuf {
+    /// Read-only view of the whole buffer.
+    pub fn borrow(&self) -> Ref<'_, [u8]> {
+        Ref::map(self.0.bytes.borrow(), |b| &**b)
+    }
+
+    /// Mutable view of the whole buffer; stamps it.
+    fn borrow_mut(&self) -> RefMut<'_, Box<[u8]>> {
+        self.0.prev.set(self.0.stamp.replace(tick()));
+        self.0.bytes.borrow_mut()
+    }
+
+    fn ptr_eq(&self, other: &SharedBuf) -> bool {
+        Rc::ptr_eq(&self.0, &other.0)
+    }
+}
 
 /// Allocate a zeroed shared buffer of `len` bytes.
 pub fn shared_buf(len: usize) -> SharedBuf {
-    Rc::new(RefCell::new(vec![0u8; len]))
+    SharedBuf(Rc::new(Stamped {
+        bytes: RefCell::new(vec![0u8; len].into_boxed_slice()),
+        stamp: Cell::new(tick()),
+        prev: Cell::new(0),
+    }))
 }
 
 /// A view of `len` bytes at `offset` within a shared buffer.
@@ -63,7 +127,8 @@ impl Region {
         f(&b[self.offset..self.offset + self.len])
     }
 
-    /// Run `f` over the window's bytes mutably.
+    /// Run `f` over the window's bytes mutably. Stamps the buffer, like
+    /// every writer below.
     pub fn with_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut b = self.buf.borrow_mut();
         f(&mut b[self.offset..self.offset + self.len])
@@ -85,7 +150,7 @@ impl Region {
     /// buffer (loopback channels).
     pub fn copy_from_region(&self, src: &Region) {
         assert_eq!(src.len, self.len, "region size mismatch");
-        if Rc::ptr_eq(&self.buf, &src.buf) {
+        if self.buf.ptr_eq(&src.buf) {
             let mut b = self.buf.borrow_mut();
             b.copy_within(src.offset..src.offset + src.len, self.offset);
         } else {
@@ -94,6 +159,25 @@ impl Region {
             d[self.offset..self.offset + self.len]
                 .copy_from_slice(&s[src.offset..src.offset + src.len]);
         }
+    }
+
+    /// Write-clock stamp of the backing buffer's latest write (any window
+    /// of it, not just this one).
+    pub(crate) fn stamp(&self) -> u64 {
+        self.buf.0.stamp.get()
+    }
+
+    /// The backing buffer's stamp before its latest write: at most `t` iff
+    /// at most one write stamped the buffer after `t`.
+    pub(crate) fn prev_stamp(&self) -> u64 {
+        self.buf.0.prev.get()
+    }
+
+    /// Whether the two windows share bytes of one buffer.
+    pub(crate) fn overlaps(&self, other: &Region) -> bool {
+        self.buf.ptr_eq(&other.buf)
+            && self.offset < other.offset + other.len
+            && other.offset < self.offset + self.len
     }
 
     /// The final 8 bytes of the window as a little-endian word — where the
@@ -221,6 +305,46 @@ mod tests {
         // surrounding rows untouched
         let row1 = Region::new(matrix, 4 * 8, 4 * 8).unwrap();
         assert_eq!(row1.read_f64s(0, 4), vec![0.0; 4]);
+    }
+
+    #[test]
+    fn every_write_stamps_and_no_read_does() {
+        let buf = shared_buf(32);
+        let (lo, hi) = (
+            Region::new(buf.clone(), 0, 16).unwrap(),
+            Region::new(buf, 16, 16).unwrap(),
+        );
+        let other = Region::alloc(16);
+        let writes: [&dyn Fn(); 7] = [
+            &|| lo.with_mut(|b| b[0] = 1),
+            &|| lo.copy_from_slice(&[2; 16]),
+            &|| lo.copy_from_region(&other),
+            &|| lo.copy_from_region(&hi),
+            &|| lo.set_last_word(3),
+            &|| lo.write_f64s(0, &[4.0]),
+            &|| lo.fill(5),
+        ];
+        for (i, write) in writes.iter().enumerate() {
+            let before = hi.stamp();
+            write();
+            assert!(hi.stamp() > before, "write {i} left the buffer unstamped");
+            assert_eq!(hi.prev_stamp(), before, "write {i}");
+            let after = hi.stamp();
+            let _ = (lo.to_vec(), lo.last_word(), lo.read_f64s(0, 1));
+            other.copy_from_region(&hi); // reads `hi`, writes `other`
+            assert_eq!(hi.stamp(), after, "a read stamped the buffer");
+        }
+    }
+
+    #[test]
+    fn overlap_is_shared_bytes_of_one_buffer() {
+        let buf = shared_buf(32);
+        let a = Region::new(buf.clone(), 0, 16).unwrap();
+        let b = Region::new(buf.clone(), 8, 16).unwrap();
+        let c = Region::new(buf, 16, 16).unwrap();
+        assert!(a.overlaps(&b) && b.overlaps(&c) && a.overlaps(&a));
+        assert!(!a.overlaps(&c), "adjacent windows share no byte");
+        assert!(!a.overlaps(&Region::alloc(16)), "different buffers");
     }
 
     #[test]

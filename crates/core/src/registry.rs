@@ -179,6 +179,10 @@ pub struct RegistryCounters {
     pub cq_drains: u64,
     /// Landings refused because the receiver's CQ was full (backpressure).
     pub cq_overflows: u64,
+    /// Bytes landings actually copied into receive windows: a full window
+    /// when either side was written since the channel's last landing, its
+    /// last 8 bytes when only `ready_mark`'s re-arm was, else nothing.
+    pub landed_bytes: u64,
 }
 
 /// One slab slot: an occupied channel or a freelist link, plus the
@@ -319,6 +323,7 @@ pub struct DirectRegistry<C> {
     total_notifications: u64,
     total_cq_drains: u64,
     total_cq_overflows: u64,
+    total_landed_bytes: u64,
     /// Lifecycle observer (the ckd-race sanitizer); `None` costs one branch
     /// per committed transition.
     probe: Option<LifecycleProbe>,
@@ -345,6 +350,7 @@ impl<C: Clone> DirectRegistry<C> {
             total_notifications: 0,
             total_cq_drains: 0,
             total_cq_overflows: 0,
+            total_landed_bytes: 0,
             probe: None,
         }
     }
@@ -539,7 +545,7 @@ impl<C: Clone> DirectRegistry<C> {
         if send.len() != ch.recv.len() {
             return Err(DirectError::SizeMismatch);
         }
-        ch.send_pe = Some(send_pe);
+        ch.send_pe = send_pe;
         ch.send = Some(send);
         self.emit(handle, Transition::Associated);
         Ok(())
@@ -551,7 +557,7 @@ impl<C: Clone> DirectRegistry<C> {
     pub fn put(&mut self, handle: HandleId, from_pe: Pe) -> Result<PutRequest, DirectError> {
         let backend = self.cfg.backend;
         let ch = self.chan_mut(handle)?;
-        let send_pe = ch.send_pe.ok_or(DirectError::NotAssociated)?;
+        let send_pe = ch.send_pe()?;
         if send_pe != from_pe {
             return Err(DirectError::WrongPe);
         }
@@ -595,7 +601,7 @@ impl<C: Clone> DirectRegistry<C> {
     /// data is back and delivers the callback immediately.
     pub fn get(&mut self, handle: HandleId, from_pe: Pe) -> Result<PutRequest, DirectError> {
         let ch = self.chan_mut(handle)?;
-        let send_pe = ch.send_pe.ok_or(DirectError::NotAssociated)?;
+        let send_pe = ch.send_pe()?;
         if ch.recv_pe != from_pe {
             return Err(DirectError::WrongPe);
         }
@@ -620,14 +626,15 @@ impl<C: Clone> DirectRegistry<C> {
         })
     }
 
-    /// Executor callback for a completed get: copy the bytes and hand back
-    /// the callback for immediate delivery at the initiator.
+    /// Executor callback for a completed get: land the bytes (as
+    /// [`Self::land`] does) and hand back the callback for immediate
+    /// delivery at the initiator.
     pub fn land_get(&mut self, handle: HandleId) -> Result<C, DirectError> {
         let ch = self.chan_mut(handle)?;
         debug_assert_eq!(ch.phase, DataPhase::InFlight);
-        let src = ch.send.as_ref().ok_or(DirectError::NotAssociated)?;
-        ch.recv.copy_from_region(src);
+        let copied = ch.land_bytes()?;
         let cb = ch.deliver();
+        self.total_landed_bytes += copied as u64;
         self.total_deliveries += 1;
         self.emit(handle, Transition::Delivered);
         Ok(cb)
@@ -635,6 +642,13 @@ impl<C: Clone> DirectRegistry<C> {
 
     /// Executor callback: the wire delay has elapsed; move the bytes into
     /// the receive window (the simulated RDMA write / DCMF delivery).
+    ///
+    /// The receive window ends up holding the send window's bytes as they
+    /// stand *now*, at landing — a source rewritten in flight lands its new
+    /// bytes. Only what the buffers' write stamps say can differ since the
+    /// channel's last landing is copied: nothing for an unwritten pair, the
+    /// last word after a bare `ready_mark` re-arm
+    /// ([`RegistryCounters::landed_bytes`] counts it).
     ///
     /// On `NotifiedPut`, a landing whose notification record would overflow
     /// the receiver's bounded CQ is refused with
@@ -652,9 +666,8 @@ impl<C: Clone> DirectRegistry<C> {
         }
         let ch = self.chan_mut(handle)?;
         debug_assert_eq!(ch.phase, DataPhase::InFlight, "{handle:?} landed twice?");
-        let src = ch.send.as_ref().ok_or(DirectError::NotAssociated)?;
-        ch.recv.copy_from_region(src);
-        match backend {
+        let copied = ch.land_bytes()?;
+        let outcome = match backend {
             DirectBackend::IbPoll => {
                 ch.phase = DataPhase::Landed;
                 let detectable = ch.recv.last_word() != ch.oob;
@@ -671,14 +684,14 @@ impl<C: Clone> DirectRegistry<C> {
                     ring_link(&mut self.polls[pe.idx()], &mut self.slots, handle.slot());
                 }
                 self.emit(handle, Transition::Landed);
-                Ok(LandOutcome::AwaitPoll)
+                LandOutcome::AwaitPoll
             }
             DirectBackend::DcmfCallback => {
                 let cb = ch.deliver();
                 self.total_deliveries += 1;
                 self.emit(handle, Transition::Landed);
                 self.emit(handle, Transition::Delivered);
-                Ok(LandOutcome::Deliver(cb))
+                LandOutcome::Deliver(cb)
             }
             DirectBackend::NotifiedPut => {
                 // Admission was checked above: the CQ has room. Land the
@@ -689,9 +702,11 @@ impl<C: Clone> DirectRegistry<C> {
                 self.polls[pe.idx()].cq.push_back(handle.slot());
                 self.total_notifications += 1;
                 self.emit(handle, Transition::Landed);
-                Ok(LandOutcome::Notified)
+                LandOutcome::Notified
             }
-        }
+        };
+        self.total_landed_bytes += copied as u64;
+        Ok(outcome)
     }
 
     /// Reliability-layer gate, called *before* [`Self::land`] when fault
@@ -855,8 +870,7 @@ impl<C: Clone> DirectRegistry<C> {
         let ch = self.chan_mut(handle)?;
         match ch.phase {
             DataPhase::Delivered => {
-                ch.recv.set_last_word(ch.oob);
-                ch.marked = true;
+                ch.rearm();
                 ch.phase = DataPhase::Empty;
                 self.emit(handle, Transition::Marked);
                 Ok(())
@@ -1040,6 +1054,7 @@ impl<C: Clone> DirectRegistry<C> {
             notifications: self.total_notifications,
             cq_drains: self.total_cq_drains,
             cq_overflows: self.total_cq_overflows,
+            landed_bytes: self.total_landed_bytes,
         }
     }
 
@@ -1270,6 +1285,54 @@ mod tests {
         assert_eq!(reg.poll_sweep_into(Pe(1), &mut delivered), 1);
         assert!(delivered.is_empty(), "undetectable arrival");
         assert!(reg.collided(h).unwrap());
+    }
+
+    /// One clean put → land → sweep → `ready` cycle.
+    fn cycle(reg: &mut Reg, h: HandleId) {
+        reg.put(h, Pe(0)).unwrap();
+        assert_eq!(land_and_sweep(reg, h).len(), 1);
+        reg.ready(h).unwrap();
+    }
+
+    #[test]
+    fn source_written_in_flight_lands_its_new_bytes() {
+        // A warmed-up channel whose source nobody writes copies only the
+        // re-armed word per landing; a byte rewritten between `put` and
+        // `land` is still what lands, because the write stamped the source.
+        let (mut reg, h, send, recv) = setup(DirectConfig::ib());
+        send.fill(1);
+        cycle(&mut reg, h);
+        cycle(&mut reg, h);
+        assert_eq!(reg.counters().landed_bytes, 64 + 8);
+        reg.put(h, Pe(0)).unwrap();
+        send.with_mut(|b| b[30] = 0xAB);
+        land_and_sweep(&mut reg, h);
+        assert_eq!(recv.to_vec()[30], 0xAB, "the in-flight rewrite landed");
+        assert_eq!(recv.to_vec(), send.to_vec());
+        assert_eq!(reg.counters().landed_bytes, 64 + 8 + 64);
+    }
+
+    #[test]
+    fn elided_landing_is_still_detected_by_the_sweep() {
+        // The only write since the last landing is `ready_mark`'s re-arm,
+        // so the landing copies just the last word — which is exactly what
+        // the sentinel poll reads.
+        let (mut reg, h, send, recv) = setup(DirectConfig::ib());
+        send.fill(3);
+        cycle(&mut reg, h);
+        assert_eq!(recv.last_word(), u64::MAX, "re-armed");
+        reg.put(h, Pe(0)).unwrap();
+        reg.land(h).unwrap();
+        assert_eq!(reg.counters().landed_bytes, 64 + 8);
+        assert_eq!(recv.to_vec(), vec![3u8; 64]);
+        assert_eq!(sweep(&mut reg, Pe(1)), vec![(h, 7)]);
+        // on the callback backend nothing re-arms, so nothing is copied
+        let (mut reg, h, send, recv) = setup(DirectConfig::bgp());
+        send.fill(3);
+        cycle(&mut reg, h);
+        cycle(&mut reg, h);
+        assert_eq!(reg.counters().landed_bytes, 64);
+        assert_eq!(recv.to_vec(), vec![3u8; 64]);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! public API: the paper's qualitative claims must hold on the assembled
 //! system, not just in per-crate units.
 
-use ckd_apps::jacobi3d::{run_jacobi_grid, serial_jacobi, JacobiCfg};
+use ckd_apps::jacobi3d::{run_jacobi_grid, run_jacobi_on, serial_jacobi, JacobiCfg};
 use ckd_apps::matmul3d::{run_matmul_verify, serial_product, MatmulCfg};
 use ckd_apps::openatom::{run_openatom, OpenAtomCfg};
-use ckd_apps::pingpong::charm_pingpong;
+use ckd_apps::pingpong::{charm_pingpong, charm_pingpong_on};
 use ckd_apps::{Platform, Variant};
 use ckd_mpi::{flavor, pingpong_rtt, PingMode};
 use ckd_net::presets;
@@ -75,6 +75,47 @@ fn stencil_correct_on_all_transport_platform_combinations() {
             assert_eq!(grid, reference, "{} / {:?}", platform.label(), variant);
         }
     }
+}
+
+/// Landings copy only what changed since the channel's last landing, so
+/// the elision cannot switch off unnoticed. A pingpong never rewrites its
+/// send windows: each of its two channels copies one full window, then
+/// per landing only the sentinel word `ready` re-armed (Infiniband) or
+/// nothing (Blue Gene/P, where `ready` writes nothing). A real-compute
+/// stencil refills every halo before its put, so every landing copies the
+/// whole window.
+#[test]
+fn landings_copy_only_what_changed() {
+    const BYTES: u64 = 4096;
+    const ITERS: u32 = 20;
+    for (platform, pes, per_landing) in [
+        (Platform::IbAbe { cores_per_node: 1 }, 2, 8),
+        (Platform::Bgp, 4, 0),
+    ] {
+        let mut m = platform.machine(pes);
+        charm_pingpong_on(&mut m, Variant::Ckd, BYTES as usize, ITERS);
+        let c = m.direct_counters();
+        assert_eq!(c.puts, 2 * u64::from(ITERS), "{}", platform.label());
+        assert_eq!(
+            c.landed_bytes,
+            2 * BYTES + per_landing * (c.puts - 2),
+            "{}",
+            platform.label()
+        );
+    }
+    let mut m = ABE8.machine(8);
+    run_jacobi_on(
+        &mut m,
+        JacobiCfg {
+            domain: [16, 8, 8],
+            chares: [2, 2, 2],
+            iters: 4,
+            variant: Variant::Ckd,
+            real_compute: true,
+        },
+    );
+    assert!(m.stats().put_bytes > 0);
+    assert_eq!(m.direct_counters().landed_bytes, m.stats().put_bytes);
 }
 
 /// Matmul correctness with an uneven machine (chares ≫ PEs and chares that

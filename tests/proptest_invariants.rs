@@ -905,6 +905,206 @@ fn strided_channel_moves_exactly_the_window() {
     }
 }
 
+// ------------------------------------------------------- landing elision
+
+/// Landings copy only what changed since the channel's last landing, yet
+/// every landing leaves the receive window holding exactly the bytes an
+/// always-copy landing would: the source as it stands just before `land`
+/// (for a strided channel, the wire image its `put` gathered). Arbitrary
+/// interleavings of application writes to every buffer (sources in flight
+/// included), put, land, sweep, the `ready` family, corrupt landings and
+/// replayed duplicates run over several window shapes at once — two
+/// receive windows carved from one buffer, a loopback channel whose
+/// (possibly overlapping) send and receive windows share one buffer, and a
+/// strided channel — on all three backends. The run must also reach each
+/// kind of landing: nothing copied, the re-armed last word, a full window.
+#[test]
+fn landings_match_the_always_copy_reference() {
+    use ckdirect::region::shared_buf;
+    use ckdirect::{HandleId, StridedSpec};
+
+    struct Lane {
+        h: HandleId,
+        /// The window landings write (a strided channel's wire image).
+        recv: Region,
+        /// The source window, or a strided channel's source backing.
+        src: Region,
+        strided: Option<StridedSpec>,
+        /// The wire image a strided put gathered.
+        gathered: Vec<u8>,
+        seq: u64,
+        in_flight: bool,
+        landed: u64,
+    }
+
+    let mut rng = DetRng::new(0x1A4D).stream("landing-elision");
+    // landings that copied nothing, only the last word, a full window
+    let mut seen = [0u32; 3];
+    for case in 0..CASES * 4 {
+        let cfg = match case % 3 {
+            0 => DirectConfig::ib(),
+            1 => DirectConfig::bgp(),
+            _ => DirectConfig::notified(64),
+        };
+        let mut reg: DirectRegistry<u32> = DirectRegistry::new(2, cfg);
+        let lane = |h, recv, src, strided| Lane {
+            h,
+            recv,
+            src,
+            strided,
+            gathered: Vec::new(),
+            seq: 0,
+            in_flight: false,
+            landed: 0,
+        };
+        // (receive, source) windows of the contiguous channels
+        let mut windows = Vec::new();
+        // every buffer the application may write, whole
+        let mut writable = Vec::new();
+        let window = |buf: &ckdirect::region::SharedBuf, cap: usize, rng: &mut DetRng| {
+            let len = rng.range(8, 33) as usize;
+            let off = rng.range(0, (cap - len + 1) as u64) as usize;
+            Region::new(buf.clone(), off, len).unwrap()
+        };
+
+        // two receive windows carved from one buffer, separate sources
+        let shared = shared_buf(96);
+        writable.push(Region::new(shared.clone(), 0, 96).unwrap());
+        for _ in 0..2 {
+            let recv = window(&shared, 96, &mut rng);
+            let src = Region::alloc(recv.len());
+            writable.push(src.clone());
+            windows.push((recv, src));
+        }
+        // loopback: both windows in one buffer, overlap allowed
+        let lo = shared_buf(64);
+        writable.push(Region::new(lo.clone(), 0, 64).unwrap());
+        let recv = window(&lo, 64, &mut rng);
+        let off = rng.range(0, (64 - recv.len() + 1) as u64) as usize;
+        let src = Region::new(lo, off, recv.len()).unwrap();
+        windows.push((recv, src));
+
+        let mut lanes = Vec::new();
+        for (recv, src) in windows {
+            let h = reg.create_handle(Pe(1), recv.clone(), u64::MAX, 0).unwrap();
+            reg.assoc_local(h, Pe(0), src.clone()).unwrap();
+            lanes.push(lane(h, recv, src, None));
+        }
+        // a strided channel
+        let spec = StridedSpec {
+            offset: rng.range(0, 8) as usize,
+            block_len: 8,
+            stride: 8 + rng.range(0, 3) as usize * 8,
+            count: rng.range(2, 5) as usize,
+        };
+        let (src, dst) = (Region::alloc(spec.span()), Region::alloc(spec.span()));
+        writable.push(src.clone());
+        writable.push(dst.clone());
+        let h = reg
+            .create_handle_strided(Pe(1), dst, spec, u64::MAX, 0)
+            .unwrap();
+        reg.assoc_local_strided(h, Pe(0), src.clone(), spec)
+            .unwrap();
+        lanes.push(lane(h, reg.recv_region(h).unwrap(), src, Some(spec)));
+
+        // Cases vary how often the application writes and whether one
+        // channel gets most of the traffic, so the run reaches long clean
+        // stretches (where landings elide) as well as dirty ones.
+        let write_pct = [0, 3, 10, 30][case / 3 % 4];
+        let focus = rng.range(0, 6) as usize;
+        for step in 0..rng.range(0, 400) {
+            let pick = if focus < 4 && rng.chance(0.8) {
+                focus
+            } else {
+                rng.range(0, 4) as usize
+            };
+            let lane = &mut lanes[pick];
+            let op = if rng.range(0, 100) < write_pct {
+                0
+            } else {
+                rng.range(1, 9)
+            };
+            match op {
+                0 => {
+                    // never 0xFF: no write completes the all-ones pattern
+                    let w = &writable[rng.range(0, writable.len() as u64) as usize];
+                    let at = rng.range(0, w.len() as u64) as usize;
+                    let v = rng.range(0, 0xFF) as u8;
+                    w.with_mut(|b| b[at] = v);
+                }
+                1 => {
+                    if let Ok(req) = reg.put(lane.h, Pe(0)) {
+                        lane.seq = req.seq;
+                        lane.in_flight = true;
+                        if let Some(spec) = lane.strided {
+                            let wire = Region::alloc(spec.payload_len());
+                            spec.gather(&lane.src, &wire);
+                            lane.gathered = wire.to_vec();
+                        }
+                    }
+                }
+                2 => {
+                    if lane.in_flight && reg.accept_landing(lane.h, lane.seq).unwrap() {
+                        let expect = match lane.strided {
+                            Some(_) => lane.gathered.clone(),
+                            None => lane.src.to_vec(),
+                        };
+                        let before = reg.counters().landed_bytes;
+                        reg.land(lane.h).unwrap();
+                        assert_eq!(
+                            lane.recv.to_vec(),
+                            expect,
+                            "case {case} step {step}: landing diverged from a full copy"
+                        );
+                        let copied = reg.counters().landed_bytes - before;
+                        let kind = match copied {
+                            c if c == lane.recv.len() as u64 => 2,
+                            8 => 1,
+                            0 => 0,
+                            c => panic!("case {case} step {step}: landing copied {c} B"),
+                        };
+                        seen[kind] += 1;
+                        lane.in_flight = false;
+                        lane.landed = lane.seq;
+                    }
+                }
+                3 => {
+                    if lane.in_flight {
+                        assert!(reg.corrupt_landing(lane.h, lane.seq).unwrap());
+                    } else if lane.landed > 0 {
+                        assert!(!reg.accept_landing(lane.h, lane.landed).unwrap());
+                    }
+                }
+                4 => {
+                    let mut out = Vec::new();
+                    match reg.backend() {
+                        ckdirect::DirectBackend::IbPoll => {
+                            reg.poll_sweep_into(Pe(1), &mut out);
+                        }
+                        ckdirect::DirectBackend::NotifiedPut => {
+                            reg.cq_drain_into(Pe(1), usize::MAX, &mut out);
+                        }
+                        ckdirect::DirectBackend::DcmfCallback => {}
+                    }
+                }
+                5 => {
+                    let _ = reg.ready_mark(lane.h);
+                }
+                6 => {
+                    let _ = reg.ready_poll_q(lane.h);
+                }
+                _ => {
+                    let _ = reg.ready(lane.h);
+                }
+            }
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "landing kinds (none, last word, full) never all reached: {seen:?}"
+    );
+}
+
 // ----------------------------------------------------------- reorder policy
 
 /// A policy that picks a pseudo-random candidate at every choice point —
