@@ -30,7 +30,7 @@
 //! With faults never enabled the machine holds `rel: None` and every hook
 //! is one branch — runs are bit-identical to the pre-fault-plane runtime.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use ckd_net::{LinkSeqs, RetryPolicy};
 use ckd_sim::{FaultAction, FaultOp, FaultPlan, Time};
@@ -131,9 +131,11 @@ pub(crate) struct ReliableLayer {
     pub pending: PendingRing<Pending>,
     /// Message-path sequence numbers + receiver dedup.
     pub seqs: LinkSeqs,
-    /// Cumulative retransmits per channel handle. A channel is degraded
-    /// iff its count has reached `degrade_after`.
-    pub handle_retries: BTreeMap<u32, u32>,
+    /// Cumulative retransmits per channel, indexed by slab slot and
+    /// tagged with the full handle: a slot's entry counts for its current
+    /// tenant only. A channel is degraded iff its count has reached
+    /// `degrade_after`.
+    handle_retries: Vec<(HandleId, u32)>,
 }
 
 impl ReliableLayer {
@@ -144,15 +146,35 @@ impl ReliableLayer {
             degrade_after: degrade_after.max(1),
             pending: PendingRing::new(),
             seqs: LinkSeqs::new(),
-            handle_retries: BTreeMap::new(),
+            handle_retries: Vec::new(),
         }
     }
 
     /// Cumulative retransmits charged to `handle` so far, and whether
     /// they have degraded it to rendezvous timing.
     pub(crate) fn health_of(&self, handle: HandleId) -> (u32, bool) {
-        let retries = self.handle_retries.get(&handle.0).copied().unwrap_or(0);
+        let retries = self
+            .handle_retries
+            .get(handle.idx())
+            .filter(|(h, _)| *h == handle)
+            .map_or(0, |&(_, r)| r);
         (retries, retries >= self.degrade_after)
+    }
+
+    /// Charge one retransmit to `handle`; returns its new count. A handle
+    /// new to its slot starts from zero: the slot's earlier tenant was
+    /// destroyed and can put no more.
+    pub(crate) fn charge_retry(&mut self, handle: HandleId) -> u32 {
+        let i = handle.idx();
+        if i >= self.handle_retries.len() {
+            self.handle_retries.resize(i + 1, (handle, 0));
+        }
+        let entry = &mut self.handle_retries[i];
+        if entry.0 != handle {
+            *entry = (handle, 0);
+        }
+        entry.1 += 1;
+        entry.1
     }
 }
 
@@ -370,9 +392,7 @@ impl Machine {
         if let Some(h) = handle {
             // degradation bookkeeping: after `degrade_after` cumulative
             // retransmits, this channel's future puts pay rendezvous timing
-            let r = rel.handle_retries.entry(h.0).or_insert(0);
-            *r += 1;
-            if *r == rel.degrade_after {
+            if rel.charge_retry(h) == rel.degrade_after {
                 self.stats.rel.degraded_channels += 1;
             }
         }

@@ -110,7 +110,7 @@ pub(crate) struct Channel<C> {
     /// Receive window (registered at `create_handle`).
     pub recv: Region,
     /// PE hosting the send buffer; meaningful only once `send` is set (a
-    /// bare `Pe`, not an `Option`, keeps the channel at 144 B — see
+    /// bare `Pe`, not an `Option`, keeps the channel at 128 B — see
     /// [`Channel::send_pe`]).
     pub send_pe: Pe,
     /// Send window, once `assoc_local` ran.
@@ -169,6 +169,10 @@ pub(crate) struct Strided {
     pub recv: Option<(Region, StridedSpec)>,
     /// Send side: gather this backing layout into the wire image at put.
     pub send: Option<(Region, StridedSpec)>,
+    /// The send backing's stamp at the last gather (0 = never gathered):
+    /// while the backing is not stamped past it, the wire image still
+    /// holds its blocks.
+    pub gathered: u64,
 }
 
 impl<C> Channel<C> {
@@ -216,10 +220,19 @@ impl<C> Channel<C> {
         self.strided.as_ref()?.send.as_ref()
     }
 
-    /// Gather a strided source into the wire image (no-op when contiguous).
-    pub(crate) fn gather(&self) {
-        if let Some((backing, spec)) = self.gather_side() {
-            spec.gather(backing, self.send.as_ref().expect("associated"));
+    /// Gather a strided source into the wire image: a no-op when
+    /// contiguous, or while the source backing is unwritten since the last
+    /// gather (re-gathering would stamp the wire image, and the landing
+    /// would then re-copy a window that did not change).
+    pub(crate) fn gather(&mut self) {
+        let Some(st) = self.strided.as_deref_mut() else {
+            return;
+        };
+        if let Some((backing, spec)) = &st.send {
+            if backing.stamp() > st.gathered {
+                spec.gather(backing, self.send.as_ref().expect("associated"));
+                st.gathered = backing.stamp();
+            }
         }
     }
 

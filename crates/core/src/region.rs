@@ -7,6 +7,18 @@
 //! row in the middle of a matrix") — while the runtime performs the put
 //! into the very same storage with no copy on the receive side.
 //!
+//! # Layout
+//!
+//! A put touches both of its buffers several times (the sentinel read, the
+//! landing, the `ready_mark` re-arm), so a buffer keeps its bytes next to
+//! its header where it can. A buffer of at most [`INLINE_BYTES`] (one
+//! cache line) stores them inline, in the same `Rc` allocation as its
+//! borrow flag and write stamps; a larger one boxes them. A [`Region`] is
+//! 16 B — the buffer pointer and a `u32` offset and length — which caps a
+//! window's end at 4 GiB and keeps a channel, which holds two regions, at
+//! 128 B. The two halves pay for each other: the inline bytes grow a small
+//! buffer's one allocation, and the narrower regions win that back.
+//!
 //! # Write stamps
 //!
 //! Every buffer carries the **stamp** of its last write (and of the write
@@ -22,9 +34,14 @@
 //! allocated it.
 
 use std::cell::{Cell, Ref, RefCell, RefMut};
+use std::ops::{Deref, DerefMut, Range};
 use std::rc::Rc;
 
 use crate::error::DirectError;
+
+/// Buffers of at most this many bytes keep them inline, in the allocation
+/// that holds their write stamps.
+pub const INLINE_BYTES: usize = 64;
 
 thread_local! {
     /// The last stamp handed out on this thread (0 = none yet).
@@ -48,14 +65,52 @@ fn tick() -> u64 {
 pub struct SharedBuf(Rc<Stamped>);
 
 struct Stamped {
-    /// Buffers never grow, so a boxed slice, not a `Vec`: its 8 saved
-    /// bytes pay for `prev`.
-    bytes: RefCell<Box<[u8]>>,
+    bytes: RefCell<Bytes>,
     /// Write-clock value of the latest mutable borrow; allocation counts as
     /// a write, so no buffer carries stamp 0.
     stamp: Cell<u64>,
     /// The stamp before `stamp` (0 before the first write).
     prev: Cell<u64>,
+}
+
+/// A buffer's bytes: inline up to [`INLINE_BYTES`], boxed beyond (buffers
+/// never grow, so a boxed slice, not a `Vec`).
+enum Bytes {
+    Inline { len: u8, data: [u8; INLINE_BYTES] },
+    Boxed(Box<[u8]>),
+}
+
+impl Bytes {
+    fn zeroed(len: usize) -> Bytes {
+        if len <= INLINE_BYTES {
+            Bytes::Inline {
+                len: len as u8,
+                data: [0; INLINE_BYTES],
+            }
+        } else {
+            Bytes::Boxed(vec![0u8; len].into_boxed_slice())
+        }
+    }
+}
+
+impl Deref for Bytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Bytes::Inline { len, data } => &data[..usize::from(*len)],
+            Bytes::Boxed(b) => b,
+        }
+    }
+}
+
+impl DerefMut for Bytes {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        match self {
+            Bytes::Inline { len, data } => &mut data[..usize::from(*len)],
+            Bytes::Boxed(b) => b,
+        }
+    }
 }
 
 impl SharedBuf {
@@ -65,7 +120,7 @@ impl SharedBuf {
     }
 
     /// Mutable view of the whole buffer; stamps it.
-    fn borrow_mut(&self) -> RefMut<'_, Box<[u8]>> {
+    fn borrow_mut(&self) -> RefMut<'_, Bytes> {
         self.0.prev.set(self.0.stamp.replace(tick()));
         self.0.bytes.borrow_mut()
     }
@@ -78,42 +133,60 @@ impl SharedBuf {
 /// Allocate a zeroed shared buffer of `len` bytes.
 pub fn shared_buf(len: usize) -> SharedBuf {
     SharedBuf(Rc::new(Stamped {
-        bytes: RefCell::new(vec![0u8; len].into_boxed_slice()),
+        bytes: RefCell::new(Bytes::zeroed(len)),
         stamp: Cell::new(tick()),
         prev: Cell::new(0),
     }))
 }
 
-/// A view of `len` bytes at `offset` within a shared buffer.
+/// A view of `len` bytes at `offset` within a shared buffer. The window
+/// must end within the first 4 GiB of its buffer (`u32` bounds).
 #[derive(Clone)]
 pub struct Region {
     buf: SharedBuf,
-    offset: usize,
-    len: usize,
+    offset: u32,
+    len: u32,
 }
 
 impl Region {
-    /// A region covering `buf[offset .. offset + len]`.
+    /// A region covering `buf[offset .. offset + len]`. Fails with
+    /// `RegionOutOfBounds` past the buffer's end or past 4 GiB.
     pub fn new(buf: SharedBuf, offset: usize, len: usize) -> Result<Region, DirectError> {
         let end = offset.checked_add(len);
-        if end.is_none() || end.unwrap() > buf.borrow().len() {
+        if end.is_none_or(|e| e > buf.borrow().len() || u32::try_from(e).is_err()) {
             return Err(DirectError::RegionOutOfBounds);
         }
-        Ok(Region { buf, offset, len })
+        // `offset` and `len` are at most `end`, which fits in a `u32`.
+        Ok(Region {
+            buf,
+            offset: offset as u32,
+            len: len as u32,
+        })
     }
 
     /// A region covering an entire freshly allocated zeroed buffer.
+    ///
+    /// # Panics
+    ///
+    /// If `len` is 4 GiB or more: a window's bounds are `u32`s.
     pub fn alloc(len: usize) -> Region {
+        let len32 = u32::try_from(len).expect("a region is under 4 GiB");
         Region {
             buf: shared_buf(len),
             offset: 0,
-            len,
+            len: len32,
         }
+    }
+
+    /// The window's byte range within its buffer.
+    fn range(&self) -> Range<usize> {
+        let start = self.offset as usize;
+        start..start + self.len as usize
     }
 
     /// Length of the window in bytes.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// True for zero-length windows.
@@ -124,14 +197,14 @@ impl Region {
     /// Run `f` over the window's bytes.
     pub fn with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
         let b = self.buf.borrow();
-        f(&b[self.offset..self.offset + self.len])
+        f(&b[self.range()])
     }
 
     /// Run `f` over the window's bytes mutably. Stamps the buffer, like
     /// every writer below.
     pub fn with_mut<R>(&self, f: impl FnOnce(&mut [u8]) -> R) -> R {
         let mut b = self.buf.borrow_mut();
-        f(&mut b[self.offset..self.offset + self.len])
+        f(&mut b[self.range()])
     }
 
     /// Copy the window out into a fresh vector.
@@ -141,7 +214,7 @@ impl Region {
 
     /// Overwrite the window from a slice of exactly `len` bytes.
     pub fn copy_from_slice(&self, src: &[u8]) {
-        assert_eq!(src.len(), self.len, "region size mismatch");
+        assert_eq!(src.len(), self.len(), "region size mismatch");
         self.with_mut(|b| b.copy_from_slice(src));
     }
 
@@ -152,15 +225,13 @@ impl Region {
         assert_eq!(src.len, self.len, "region size mismatch");
         if self.buf.ptr_eq(&src.buf) {
             let mut b = self.buf.borrow_mut();
-            b.copy_within(src.offset..src.offset + src.len, self.offset);
+            b.copy_within(src.range(), self.offset as usize);
         } else {
             let s = src.buf.borrow();
             let mut d = self.buf.borrow_mut();
-            d[self.offset..self.offset + self.len]
-                .copy_from_slice(&s[src.offset..src.offset + src.len]);
+            d[self.range()].copy_from_slice(&s[src.range()]);
         }
     }
-
     /// Write-clock stamp of the backing buffer's latest write (any window
     /// of it, not just this one).
     pub(crate) fn stamp(&self) -> u64 {
@@ -175,9 +246,8 @@ impl Region {
 
     /// Whether the two windows share bytes of one buffer.
     pub(crate) fn overlaps(&self, other: &Region) -> bool {
-        self.buf.ptr_eq(&other.buf)
-            && self.offset < other.offset + other.len
-            && other.offset < self.offset + self.len
+        let (a, b) = (self.range(), other.range());
+        self.buf.ptr_eq(&other.buf) && a.start < b.end && b.start < a.end
     }
 
     /// The final 8 bytes of the window as a little-endian word — where the
@@ -185,7 +255,7 @@ impl Region {
     /// (creation validates this).
     pub fn last_word(&self) -> u64 {
         assert!(self.len >= 8);
-        self.with(|b| u64::from_le_bytes(b[self.len - 8..].try_into().unwrap()))
+        self.with(|b| u64::from_le_bytes(b[b.len() - 8..].try_into().unwrap()))
     }
 
     /// Overwrite the final 8 bytes with `w` (arming the sentinel).
@@ -345,6 +415,78 @@ mod tests {
         assert!(a.overlaps(&b) && b.overlaps(&c) && a.overlaps(&a));
         assert!(!a.overlaps(&c), "adjacent windows share no byte");
         assert!(!a.overlaps(&Region::alloc(16)), "different buffers");
+    }
+
+    #[test]
+    #[should_panic(expected = "under 4 GiB")]
+    fn alloc_refuses_4_gib_before_allocating() {
+        Region::alloc(1 << 32);
+    }
+
+    /// A window of `len` bytes filled with its own byte indices.
+    fn counting(len: usize) -> Region {
+        let r = Region::alloc(len);
+        r.with_mut(|b| b.iter_mut().enumerate().for_each(|(i, x)| *x = i as u8));
+        r
+    }
+
+    #[test]
+    fn windows_either_side_of_the_inline_limit() {
+        for len in [INLINE_BYTES, INLINE_BYTES + 1] {
+            let (a, b) = (counting(len), Region::alloc(len));
+            assert_eq!(a.len(), len);
+            assert_eq!(a.to_vec(), (0..len).map(|i| i as u8).collect::<Vec<_>>());
+            let before = b.stamp();
+            b.copy_from_region(&a);
+            assert!(b.stamp() > before && b.prev_stamp() == before, "{len} B");
+            assert_eq!(b.to_vec(), a.to_vec(), "{len} B");
+            b.set_last_word(0x0102_0304_0506_0708);
+            assert_eq!(b.last_word(), 0x0102_0304_0506_0708, "{len} B");
+            assert_eq!(b.to_vec()[..len - 8], a.to_vec()[..len - 8], "{len} B");
+            assert!(a.overlaps(&a) && !a.overlaps(&b));
+            assert_eq!(shared_buf(len).borrow().len(), len);
+        }
+    }
+
+    #[test]
+    fn subregions_of_an_inline_buffer() {
+        let buf = shared_buf(INLINE_BYTES);
+        let whole = Region::new(buf.clone(), 0, INLINE_BYTES).unwrap();
+        let (lo, mid, hi) = (
+            Region::new(buf.clone(), 0, 24).unwrap(),
+            Region::new(buf.clone(), 20, 24).unwrap(),
+            Region::new(buf.clone(), 40, 24).unwrap(),
+        );
+        assert!(Region::new(buf.clone(), 41, 24).is_err(), "past the buffer");
+        assert!(lo.overlaps(&mid) && mid.overlaps(&hi) && !lo.overlaps(&hi));
+        hi.with_mut(|b| b.fill(9));
+        assert_eq!(whole.with(|b| b[39..41].to_vec()), vec![0, 9]);
+        lo.write_f64s(0, &[1.5, 2.5, 3.5]);
+        assert_eq!(lo.last_word(), 3.5f64.to_bits());
+        // loopback copies, both directions and overlapping
+        let stamp = whole.stamp();
+        hi.copy_from_region(&lo);
+        assert!(whole.stamp() > stamp && whole.prev_stamp() == stamp);
+        assert_eq!(hi.read_f64s(0, 3), vec![1.5, 2.5, 3.5]);
+        mid.copy_from_region(&lo);
+        assert_eq!(mid.read_f64s(0, 3), vec![1.5, 2.5, 3.5]);
+        assert_eq!(
+            lo.read_f64s(0, 2),
+            vec![1.5, 2.5],
+            "source kept below the overlap"
+        );
+        // reads leave the shared stamp alone; any window's write moves it
+        let stamp = whole.stamp();
+        let _ = (lo.to_vec(), mid.last_word(), buf.borrow().len());
+        assert_eq!(hi.stamp(), stamp);
+        mid.set_last_word(7);
+        assert!(lo.stamp() > stamp && hi.stamp() == lo.stamp());
+        // a boxed window copies into an inline one and back
+        let boxed = counting(INLINE_BYTES + 1);
+        let tail = Region::new(boxed.buf.clone(), INLINE_BYTES + 1 - 24, 24).unwrap();
+        lo.copy_from_region(&tail);
+        assert_eq!(lo.to_vec(), tail.to_vec());
+        assert!(!lo.overlaps(&tail));
     }
 
     #[test]

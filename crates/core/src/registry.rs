@@ -875,7 +875,6 @@ impl<C: Clone> DirectRegistry<C> {
                 self.emit(handle, Transition::Marked);
                 Ok(())
             }
-            DataPhase::Empty if ch.marked => Err(DirectError::NotDelivered),
             _ => Err(DirectError::NotDelivered),
         }
     }
@@ -1685,7 +1684,8 @@ mod tests {
         // `[u32; 4]` stands in for the runtime's 16-B `DirectCb` token.
         let channel = std::mem::size_of::<Channel<[u32; 4]>>();
         let poll = std::mem::size_of::<PePoll>();
-        assert!(channel <= 160, "Channel grew to {channel} B");
+        assert!(channel <= 128, "Channel grew to {channel} B");
+        assert_eq!(std::mem::size_of::<Region>(), 16, "Region grew");
         assert!(poll <= 64, "PePoll grew to {poll} B");
     }
 
@@ -1754,6 +1754,42 @@ mod strided_tests {
         reg.land(h).unwrap();
         sweep(&mut reg, Pe(1));
         assert_eq!(dst_mat.read_f64s(2 * 8, 1), vec![-1.0]);
+    }
+
+    #[test]
+    fn unchanged_strided_source_is_not_regathered() {
+        // An unwritten backing leaves the wire image as the last gather
+        // left it, so after the first full landing only the re-armed word
+        // lands; a backing write re-gathers and lands the whole window.
+        let mut reg: DirectRegistry<u32> = DirectRegistry::new(2, DirectConfig::ib());
+        let (src, dst) = (Region::alloc(64), Region::alloc(64));
+        src.fill(5);
+        let spec = StridedSpec {
+            offset: 0,
+            block_len: 8,
+            stride: 16,
+            count: 4,
+        };
+        let h = reg
+            .create_handle_strided(Pe(1), dst.clone(), spec, u64::MAX, 0)
+            .unwrap();
+        reg.assoc_local_strided(h, Pe(0), src.clone(), spec)
+            .unwrap();
+        let mut landed = Vec::new();
+        for _ in 0..3 {
+            reg.put(h, Pe(0)).unwrap();
+            reg.land(h).unwrap();
+            assert_eq!(sweep(&mut reg, Pe(1)).len(), 1);
+            reg.ready(h).unwrap();
+            landed.push(reg.counters().landed_bytes);
+        }
+        assert_eq!(landed, [32, 40, 48]);
+        src.with_mut(|b| b[16] = 6);
+        reg.put(h, Pe(0)).unwrap();
+        reg.land(h).unwrap();
+        sweep(&mut reg, Pe(1));
+        assert_eq!(reg.counters().landed_bytes, 48 + 32);
+        assert_eq!(dst.to_vec()[16], 6, "the rewritten block landed");
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!
 //! A strided channel still has a *contiguous* wire image (`count ×
 //! block_len` bytes, sentinel in its last 8); the runtime gathers from the
-//! strided source into the wire image at put time and scatters into the
-//! strided destination at land time — and charges for both copies, so the
-//! cost model stays honest. (A real NIC with scatter/gather lists would
+//! strided source into the wire image at put time (unless the source is
+//! unwritten since the last gather) and scatters into the strided
+//! destination at land time — and charges for both copies, so the cost
+//! model stays honest. (A real NIC with scatter/gather lists would
 //! skip the copies; the parameterization makes that a one-line change.)
 
 use crate::error::DirectError;

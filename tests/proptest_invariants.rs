@@ -916,7 +916,8 @@ fn strided_channel_moves_exactly_the_window() {
 /// replayed duplicates run over several window shapes at once — two
 /// receive windows carved from one buffer, a loopback channel whose
 /// (possibly overlapping) send and receive windows share one buffer, and a
-/// strided channel — on all three backends. The run must also reach each
+/// strided channel, each sized on both sides of the inline-buffer limit —
+/// on all three backends. The run must also reach each
 /// kind of landing: nothing copied, the re-armed last word, a full window.
 #[test]
 fn landings_match_the_always_copy_reference() {
@@ -961,26 +962,29 @@ fn landings_match_the_always_copy_reference() {
         let mut windows = Vec::new();
         // every buffer the application may write, whole
         let mut writable = Vec::new();
-        let window = |buf: &ckdirect::region::SharedBuf, cap: usize, rng: &mut DetRng| {
-            let len = rng.range(8, 33) as usize;
+        // Windows of 8..=96 B in buffers of 64 B (inline) or 160 B (boxed),
+        // so every kind of window falls on both sides of the inline limit.
+        let cap = [64, 160][case / 12 % 2];
+        let window = |buf: &ckdirect::region::SharedBuf, rng: &mut DetRng| {
+            let len = rng.range(8, cap.min(96) as u64 + 1) as usize;
             let off = rng.range(0, (cap - len + 1) as u64) as usize;
             Region::new(buf.clone(), off, len).unwrap()
         };
 
         // two receive windows carved from one buffer, separate sources
-        let shared = shared_buf(96);
-        writable.push(Region::new(shared.clone(), 0, 96).unwrap());
+        let shared = shared_buf(cap);
+        writable.push(Region::new(shared.clone(), 0, cap).unwrap());
         for _ in 0..2 {
-            let recv = window(&shared, 96, &mut rng);
+            let recv = window(&shared, &mut rng);
             let src = Region::alloc(recv.len());
             writable.push(src.clone());
             windows.push((recv, src));
         }
         // loopback: both windows in one buffer, overlap allowed
-        let lo = shared_buf(64);
-        writable.push(Region::new(lo.clone(), 0, 64).unwrap());
-        let recv = window(&lo, 64, &mut rng);
-        let off = rng.range(0, (64 - recv.len() + 1) as u64) as usize;
+        let lo = shared_buf(cap);
+        writable.push(Region::new(lo.clone(), 0, cap).unwrap());
+        let recv = window(&lo, &mut rng);
+        let off = rng.range(0, (cap - recv.len() + 1) as u64) as usize;
         let src = Region::new(lo, off, recv.len()).unwrap();
         windows.push((recv, src));
 
@@ -995,7 +999,7 @@ fn landings_match_the_always_copy_reference() {
             offset: rng.range(0, 8) as usize,
             block_len: 8,
             stride: 8 + rng.range(0, 3) as usize * 8,
-            count: rng.range(2, 5) as usize,
+            count: rng.range(2, 13) as usize,
         };
         let (src, dst) = (Region::alloc(spec.span()), Region::alloc(spec.span()));
         writable.push(src.clone());
