@@ -18,20 +18,20 @@ use ckd_race::SanitizerConfig;
 use ckd_sim::{FaultPlan, ReorderPolicy};
 use ckd_trace::{ProfConfig, TraceConfig};
 
-use crate::backend::{matching_backend, CompletionBackend};
+use crate::backend::Backend;
 use crate::config::RtsConfig;
 use crate::learn::LearnConfig;
 use crate::machine::Machine;
 
 /// Builder returned by [`Machine::builder`]. Every knob has a
-/// fabric-matching default: the backend from [`matching_backend`], the
+/// fabric-matching default: the backend from [`Backend::matching`], the
 /// runtime costs from the fabric's [`RtsConfig`] preset, and every
 /// optional layer off (tracing, race checking, faults, and learning each
 /// cost one branch per hook until enabled).
 pub struct MachineBuilder {
     net: NetModel,
     rts: Option<RtsConfig>,
-    backend: Option<Box<dyn CompletionBackend>>,
+    backend: Option<Backend>,
     tracing: Option<TraceConfig>,
     profiling: Option<ProfConfig>,
     sanitizer: Option<SanitizerConfig>,
@@ -63,11 +63,12 @@ impl MachineBuilder {
         self
     }
 
-    /// Override the put-completion backend (default: the fabric's match —
-    /// [`crate::backend::IbSentinelPoll`] on Infiniband,
-    /// [`crate::backend::DcmfCallback`] on DCMF).
-    pub fn with_backend(mut self, backend: impl CompletionBackend + 'static) -> Self {
-        self.backend = Some(Box::new(backend));
+    /// Override the put-completion backend (default: [`Backend::matching`]
+    /// — [`Backend::IbSentinelPoll`] on Infiniband,
+    /// [`Backend::DcmfCallback`] on DCMF, [`Backend::NotifiedPut`] at the
+    /// fabric's CQ depth on Slingshot).
+    pub fn with_backend(mut self, backend: Backend) -> Self {
+        self.backend = Some(backend);
         self
     }
 
@@ -140,7 +141,7 @@ impl MachineBuilder {
     pub fn build(self) -> Machine {
         let backend = self
             .backend
-            .unwrap_or_else(|| matching_backend(self.net.fabric()));
+            .unwrap_or_else(|| Backend::matching(self.net.fabric()));
         let rts = self.rts.unwrap_or_else(|| match self.net.fabric() {
             FabricParams::IbVerbs(_) => RtsConfig::ib_abe(),
             FabricParams::Dcmf(_) => RtsConfig::bgp(),

@@ -4,9 +4,8 @@
 //! runtime-layer stack ([`crate::layer`]) at its interposition seam, then
 //! do the scheduler's own work — busy-time accounting, queue management,
 //! and driving the CkDirect registry through the machine's
-//! [`CompletionBackend`](crate::backend::CompletionBackend). Reliable
-//! delivery (`Ev::Rel*`) is handled in [`crate::rel`]; it sits below the
-//! layer seams.
+//! [`Backend`](crate::backend::Backend). Reliable delivery (`Ev::Rel*`) is
+//! handled in [`crate::rel`]; it sits below the layer seams.
 
 use ckd_sim::Time;
 use ckd_topo::Pe;

@@ -34,7 +34,7 @@ pub(crate) mod rel;
 pub mod stats;
 
 pub use array::ArrayId;
-pub use backend::{matching_backend, CompletionBackend, SentinelLayout};
+pub use backend::Backend;
 pub use builder::MachineBuilder;
 pub use chare::{Chare, ChareRef};
 pub use config::{ComputeParams, RtsConfig};

@@ -37,7 +37,7 @@ use ckd_trace::{
 use ckdirect::{DirectRegistry, HandleId, RegistryCounters};
 
 use crate::array::{ArrayId, ArrayInfo};
-use crate::backend::CompletionBackend;
+use crate::backend::Backend;
 use crate::builder::MachineBuilder;
 use crate::chare::{Chare, ChareRef};
 use crate::config::RtsConfig;
@@ -159,8 +159,8 @@ pub struct Machine {
     pub(crate) chares: Vec<Vec<Option<Box<dyn Chare>>>>,
     pub(crate) direct: DirectRegistry<DirectCb>,
     pub(crate) red: Vec<Vec<RedPeState>>,
-    /// How put completion is detected (see [`CompletionBackend`]).
-    pub(crate) backend: Box<dyn CompletionBackend>,
+    /// How put completion is detected (see [`Backend`]).
+    pub(crate) backend: Backend,
     /// The composed runtime-layer stack (tracer, sanitizer, learner,
     /// reliable delivery).
     pub(crate) stack: LayerStack,
@@ -187,11 +187,7 @@ impl Machine {
         MachineBuilder::new(net)
     }
 
-    pub(crate) fn with_backend(
-        net: NetModel,
-        cfg: RtsConfig,
-        backend: Box<dyn CompletionBackend>,
-    ) -> Machine {
+    pub(crate) fn with_backend(net: NetModel, cfg: RtsConfig, backend: Backend) -> Machine {
         let npes = net.machine().npes();
         Machine {
             net,
@@ -332,8 +328,8 @@ impl Machine {
     }
 
     /// The put-completion backend in use.
-    pub fn backend(&self) -> &dyn CompletionBackend {
-        self.backend.as_ref()
+    pub fn backend(&self) -> Backend {
+        self.backend
     }
 
     /// Number of PEs.

@@ -1,6 +1,6 @@
 //! Completion-backend selection and the paper's completion-cost split.
 //!
-//! The fabric decides the default backend ([`ckd_charm::matching_backend`]):
+//! The fabric decides the default backend ([`ckd_charm::Backend::matching`]):
 //! Infiniband completes puts by *polling* a sentinel word (the receiver
 //! pays per-handle sweep cost between handler executions), Blue Gene/P's
 //! DCMF completes them by *callback* (the messaging layer interrupts, no
@@ -8,9 +8,7 @@
 //! which is the paper's Table 3 story.
 
 use ckd_charm::backend::{DcmfCallback, IbSentinelPoll, SharedMem};
-use ckd_charm::{
-    Chare, ChareRef, CompletionBackend, Ctx, EntryId, Machine, Msg, PutOutcome, SentinelLayout,
-};
+use ckd_charm::{Chare, ChareRef, Ctx, EntryId, Machine, Msg, PutOutcome};
 use ckd_net::presets;
 use ckd_sim::Time;
 use ckd_topo::{Dims, Idx, Machine as Topo, Mapper};
@@ -19,17 +17,15 @@ use ckdirect::{HandleId, Region};
 // ---- selection -----------------------------------------------------------
 
 #[test]
-fn builder_defaults_agree_with_matching_backend() {
+fn builder_defaults_follow_the_fabric() {
     // sentinel polling on Infiniband
     let ib = Machine::builder(presets::ib_abe(Topo::ib_cluster(4, 2))).build();
     assert_eq!(ib.backend().name(), IbSentinelPoll.name());
     assert!(ib.backend().polls());
-    assert_eq!(ib.backend().sentinel(), SentinelLayout::OobWord);
     // delivery callbacks on Blue Gene/P's DCMF
     let bgp = Machine::builder(presets::bgp_surveyor(Topo::bgp_partition(8))).build();
     assert_eq!(bgp.backend().name(), DcmfCallback.name());
     assert!(!bgp.backend().polls());
-    assert_eq!(bgp.backend().sentinel(), SentinelLayout::None);
 }
 
 // ---- one put workload, two completion mechanisms -------------------------

@@ -19,9 +19,13 @@ use crate::strided::StridedSpec;
 /// packed value identical to the dense index the registry historically
 /// handed out.
 ///
-/// The tag wraps after 256 reuses of one slot, so it is a probabilistic
-/// (but in practice decisive) stale-handle detector, not a cryptographic
-/// one — the same trade every slab-allocated handle scheme makes.
+/// The tag is 8 bits and wraps. A stale handle is rejected through the
+/// next 255 recycles of its slot; at exactly the 256th recycle the slot's
+/// generation is back to the stale handle's own, and the handle validates
+/// against that new tenant. The simulator is deterministic, so this is no
+/// probability: a program that holds a handle across 256 destroys of its
+/// slot aliases every time (pinned by the registry's
+/// `stale_handles_alias_at_exactly_the_256th_recycle` test).
 ///
 /// [`DirectRegistry::destroy_handle`]: crate::DirectRegistry::destroy_handle
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -24,39 +24,17 @@
 //! `Relaxed` ordering: they are ordered by the final `Release`/`Acquire`
 //! pair, not by their own accesses.
 //!
-//! Misuse the paper leaves to the user is *checked* here: a second put
-//! before the receiver re-arms returns [`PutError::WouldOverwrite`] (via a
-//! generation counter), and a payload ending in the pattern returns
-//! [`PutError::OobCollision`] instead of vanishing.
+//! Misuse the paper leaves to the user is *checked* here, in the simulated
+//! registry's own [`DirectError`] vocabulary: a put lands at once, so a
+//! second put before the receiver re-arms would overwrite data it has been
+//! told about but not released — [`DirectError::Overwrite`] (detected via a
+//! generation counter) — and a payload ending in the pattern returns
+//! [`DirectError::OobCollision`] instead of vanishing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Errors a [`DirectSender::put`] can report instead of corrupting data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PutError {
-    /// Payload length differs from the channel's fixed size.
-    SizeMismatch,
-    /// The receiver has not re-armed since the previous put; writing now
-    /// would overwrite data it may still be reading.
-    WouldOverwrite,
-    /// The payload's final word equals the out-of-band pattern; the
-    /// receiver could never detect its arrival.
-    OobCollision,
-}
-
-impl std::fmt::Display for PutError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            PutError::SizeMismatch => "payload size differs from channel size",
-            PutError::WouldOverwrite => "receiver has not re-armed the channel",
-            PutError::OobCollision => "payload ends with the out-of-band pattern",
-        };
-        f.write_str(s)
-    }
-}
-
-impl std::error::Error for PutError {}
+use crate::error::DirectError;
 
 struct Shared {
     /// The receive buffer, including the sentinel in its final word.
@@ -142,21 +120,21 @@ impl DirectSender {
     ///
     /// Returns without blocking; the receiver discovers the data by
     /// polling. No allocation, no locks, one `Release` store.
-    pub fn put(&mut self, payload: &[u8]) -> Result<(), PutError> {
+    pub fn put(&mut self, payload: &[u8]) -> Result<(), DirectError> {
         self.stats.attempts += 1;
         let words = &self.shared.words;
         if payload.len() != words.len() * 8 {
-            return Err(PutError::SizeMismatch);
+            return Err(DirectError::SizeMismatch);
         }
         let last = u64::from_le_bytes(payload[payload.len() - 8..].try_into().unwrap());
         if last == self.shared.oob {
-            return Err(PutError::OobCollision);
+            return Err(DirectError::OobCollision);
         }
         // The receiver publishes `armed_gen = n` after re-arming; seeing it
         // (Acquire) guarantees the receiver is done reading generation n-1.
         let armed = self.shared.armed_gen.load(Ordering::Acquire);
         if armed <= self.put_gen {
-            return Err(PutError::WouldOverwrite);
+            return Err(DirectError::Overwrite);
         }
         self.put_gen = armed;
         let n = words.len();
@@ -388,10 +366,10 @@ impl CheckedSender {
         (self.shared.words.len() - 1) * 8
     }
 
-    fn claim_arming(&mut self) -> Result<(), PutError> {
+    fn claim_arming(&mut self) -> Result<(), DirectError> {
         let armed = self.shared.armed_gen.load(Ordering::Acquire);
         if armed <= self.put_gen {
-            return Err(PutError::WouldOverwrite);
+            return Err(DirectError::Overwrite);
         }
         self.put_gen = armed;
         Ok(())
@@ -411,21 +389,21 @@ impl CheckedSender {
         words[words.len() - 1].store(proto, Ordering::Release);
     }
 
-    fn proto_word(&self, seq: u32, payload: &[u8]) -> Result<u64, PutError> {
+    fn proto_word(&self, seq: u32, payload: &[u8]) -> Result<u64, DirectError> {
         let proto = (u64::from(seq) << 32) | u64::from(crc32(payload));
         // The protocol word is the sentinel; a put whose (seq, crc) happens
         // to equal the pattern would be undetectable, same pathology as the
         // unchecked channel's OobCollision.
         if proto == self.shared.oob {
-            return Err(PutError::OobCollision);
+            return Err(DirectError::OobCollision);
         }
         Ok(proto)
     }
 
     /// A clean put: next sequence number, correct CRC.
-    pub fn put(&mut self, payload: &[u8]) -> Result<(), PutError> {
+    pub fn put(&mut self, payload: &[u8]) -> Result<(), DirectError> {
         if payload.len() != self.size() {
-            return Err(PutError::SizeMismatch);
+            return Err(DirectError::SizeMismatch);
         }
         let proto = self.proto_word(self.seq + 1, payload)?;
         self.claim_arming()?;
@@ -440,9 +418,9 @@ impl CheckedSender {
     /// receiver's check fails and the landing is discarded. Pass the index
     /// one past the payload (`size()/8`) to damage the protocol word
     /// itself — the "corrupted last 8 bytes" case.
-    pub fn put_corrupted(&mut self, payload: &[u8], damage_word: usize) -> Result<(), PutError> {
+    pub fn put_corrupted(&mut self, payload: &[u8], damage_word: usize) -> Result<(), DirectError> {
         if payload.len() != self.size() {
-            return Err(PutError::SizeMismatch);
+            return Err(DirectError::SizeMismatch);
         }
         let npayload = payload.len() / 8;
         assert!(damage_word <= npayload, "damage_word out of range");
@@ -464,9 +442,9 @@ impl CheckedSender {
     /// Fault hook: a torn write — the protocol word lands but payload word
     /// `missing_word` never does (stale contents remain). Real RDMA
     /// completes in order; a faulty or replayed transfer may not.
-    pub fn put_torn(&mut self, payload: &[u8], missing_word: usize) -> Result<(), PutError> {
+    pub fn put_torn(&mut self, payload: &[u8], missing_word: usize) -> Result<(), DirectError> {
         if payload.len() != self.size() {
-            return Err(PutError::SizeMismatch);
+            return Err(DirectError::SizeMismatch);
         }
         assert!(
             missing_word < payload.len() / 8,
@@ -483,7 +461,7 @@ impl CheckedSender {
     /// Fault hook: the fabric replays the last put (same payload, same
     /// sequence number) after the receiver re-armed. The receiver's seqno
     /// filter must suppress it.
-    pub fn put_duplicate(&mut self) -> Result<(), PutError> {
+    pub fn put_duplicate(&mut self) -> Result<(), DirectError> {
         assert!(self.seq > 0, "nothing to replay yet");
         // no early return may consume the payload: a rejected replay must
         // leave the sender able to try again
@@ -498,7 +476,7 @@ impl CheckedSender {
     /// Retransmit the last put unchanged (same seq, correct CRC) — what a
     /// sender does after a corrupt/torn landing re-armed the channel. The
     /// receiver accepts it iff the original never made it through.
-    pub fn retransmit(&mut self) -> Result<(), PutError> {
+    pub fn retransmit(&mut self) -> Result<(), DirectError> {
         self.put_duplicate()
     }
 
@@ -629,11 +607,11 @@ mod tests {
     fn put_before_rearm_is_rejected() {
         let (mut tx, mut rx) = channel(16, OOB);
         tx.put(&[1u8; 16]).unwrap();
-        assert_eq!(tx.put(&[2u8; 16]).unwrap_err(), PutError::WouldOverwrite);
+        assert_eq!(tx.put(&[2u8; 16]).unwrap_err(), DirectError::Overwrite);
         rx.recv_spin();
         assert_eq!(
             tx.put(&[2u8; 16]).unwrap_err(),
-            PutError::WouldOverwrite,
+            DirectError::Overwrite,
             "receiving is not enough; receiver must arm()"
         );
         rx.arm();
@@ -644,8 +622,11 @@ mod tests {
     #[test]
     fn size_and_collision_checks() {
         let (mut tx, _rx) = channel(16, OOB);
-        assert_eq!(tx.put(&[0u8; 8]).unwrap_err(), PutError::SizeMismatch);
-        assert_eq!(tx.put(&[0xFFu8; 16]).unwrap_err(), PutError::OobCollision);
+        assert_eq!(tx.put(&[0u8; 8]).unwrap_err(), DirectError::SizeMismatch);
+        assert_eq!(
+            tx.put(&[0xFFu8; 16]).unwrap_err(),
+            DirectError::OobCollision
+        );
         assert_eq!(tx.size(), 16);
     }
 
@@ -717,7 +698,7 @@ mod tests {
         let (mut tx, mut rx) = channel(16, OOB);
         assert!(!rx.poll()); // empty check
         tx.put(&[1u8; 16]).unwrap();
-        assert_eq!(tx.put(&[2u8; 16]).unwrap_err(), PutError::WouldOverwrite);
+        assert_eq!(tx.put(&[2u8; 16]).unwrap_err(), DirectError::Overwrite);
         assert!(rx.poll());
         assert_eq!(
             tx.stats(),
@@ -871,8 +852,8 @@ mod tests {
     fn checked_size_checks_match_unchecked() {
         let (mut tx, _rx) = channel_checked(16, OOB);
         assert_eq!(tx.size(), 16);
-        assert_eq!(tx.put(&[0u8; 8]).unwrap_err(), PutError::SizeMismatch);
+        assert_eq!(tx.put(&[0u8; 8]).unwrap_err(), DirectError::SizeMismatch);
         tx.put(&[1u8; 16]).unwrap();
-        assert_eq!(tx.put(&[2u8; 16]).unwrap_err(), PutError::WouldOverwrite);
+        assert_eq!(tx.put(&[2u8; 16]).unwrap_err(), DirectError::Overwrite);
     }
 }

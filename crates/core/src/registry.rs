@@ -1622,6 +1622,28 @@ mod tests {
     }
 
     #[test]
+    fn stale_handles_alias_at_exactly_the_256th_recycle() {
+        let mut reg = Reg::new(2, DirectConfig::ib());
+        let mk = |reg: &mut Reg| {
+            reg.create_handle(Pe(1), Region::alloc(16), u64::MAX, 0)
+                .unwrap()
+        };
+        let h0 = mk(&mut reg);
+        let mut cur = h0;
+        for recycle in 1..=255u32 {
+            reg.destroy_handle(cur).unwrap();
+            cur = mk(&mut reg);
+            assert_eq!((cur.slot(), u32::from(cur.generation())), (0, recycle));
+            assert_eq!(reg.phase(h0).unwrap_err(), DirectError::BadHandle);
+        }
+        // the 8-bit tag wraps: the 256th tenant of the slot is h0 again
+        reg.destroy_handle(cur).unwrap();
+        let tenant = mk(&mut reg);
+        assert_eq!(tenant, h0);
+        assert_eq!(reg.phase(h0).unwrap(), DataPhase::Empty);
+    }
+
+    #[test]
     fn destroy_while_in_flight_is_refused() {
         let (mut reg, h, _send, _recv) = setup(DirectConfig::ib());
         reg.put(h, Pe(0)).unwrap();

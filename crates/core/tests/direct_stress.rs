@@ -6,13 +6,13 @@
 //!
 //! * payloads are never torn — a receiver sees every word of generation
 //!   `i`'s payload or none of it, even with the sender spinning;
-//! * `WouldOverwrite` fires exactly when the receiver has not re-armed
+//! * `Overwrite` fires exactly when the receiver has not re-armed
 //!   since the last accepted put, and never otherwise;
 //! * `OobCollision` fires exactly when the payload's final word equals the
 //!   pattern, and the buffer is untouched by the rejected put.
 
-use ckdirect::direct::{channel, channel_checked, DirectReceiver, PutError};
-use ckdirect::CheckedRecv;
+use ckdirect::direct::{channel, channel_checked, DirectReceiver};
+use ckdirect::{CheckedRecv, DirectError};
 use std::thread;
 
 const OOB: u64 = u64::MAX;
@@ -51,7 +51,7 @@ fn thousands_of_cycles_never_tear() {
             loop {
                 match tx.put(&payload) {
                     Ok(()) => break,
-                    Err(PutError::WouldOverwrite) => thread::yield_now(),
+                    Err(DirectError::Overwrite) => thread::yield_now(),
                     Err(e) => panic!("iteration {i}: unexpected {e}"),
                 }
             }
@@ -89,7 +89,7 @@ fn zero_copy_polling_sees_untorn_words() {
     let sender = thread::spawn(move || {
         for i in 1..=ITERS {
             let payload = stamped(WORDS, i * 3 + 1);
-            while let Err(PutError::WouldOverwrite) = tx.put(&payload) {
+            while let Err(DirectError::Overwrite) = tx.put(&payload) {
                 thread::yield_now();
             }
         }
@@ -124,10 +124,10 @@ fn would_overwrite_fires_exactly_until_rearm() {
     assert!(!tx.receiver_ready());
 
     // rejected while the data sits unconsumed...
-    assert_eq!(tx.put(&stamped(2, 8)), Err(PutError::WouldOverwrite));
+    assert_eq!(tx.put(&stamped(2, 8)), Err(DirectError::Overwrite));
     // ...and still rejected after delivery but before the re-arm
     assert_eq!(rx.try_recv().unwrap(), stamped(2, 7));
-    assert_eq!(tx.put(&stamped(2, 8)), Err(PutError::WouldOverwrite));
+    assert_eq!(tx.put(&stamped(2, 8)), Err(DirectError::Overwrite));
 
     // the re-arm is the *only* thing that re-opens the channel
     rx.arm();
@@ -151,7 +151,7 @@ fn oob_collision_fires_exactly_on_pattern_tail_and_leaves_data_alone() {
     rx.arm();
     let mut poisoned = stamped(3, 42);
     poisoned[16..].copy_from_slice(&OOB.to_le_bytes());
-    assert_eq!(tx.put(&poisoned), Err(PutError::OobCollision));
+    assert_eq!(tx.put(&poisoned), Err(DirectError::OobCollision));
 
     // the rejection wrote nothing: the channel still looks empty...
     assert!(rx.try_recv().is_none());
@@ -164,8 +164,8 @@ fn oob_collision_fires_exactly_on_pattern_tail_and_leaves_data_alone() {
 #[test]
 fn size_mismatch_is_rejected_before_any_write() {
     let (mut tx, mut rx) = channel(16, OOB);
-    assert_eq!(tx.put(&stamped(3, 1)), Err(PutError::SizeMismatch));
-    assert_eq!(tx.put(&stamped(1, 1)), Err(PutError::SizeMismatch));
+    assert_eq!(tx.put(&stamped(3, 1)), Err(DirectError::SizeMismatch));
+    assert_eq!(tx.put(&stamped(1, 1)), Err(DirectError::SizeMismatch));
     assert!(rx.try_recv().is_none());
     tx.put(&stamped(2, 1)).unwrap();
     assert_eq!(rx.recv_spin(), stamped(2, 1));
@@ -185,10 +185,10 @@ fn checked_channel_recovers_on_a_faulty_fabric_under_threads() {
 
     let sender = thread::spawn(move || {
         let (mut corrupts, mut dups) = (0u64, 0u64);
-        let send = |do_put: &mut dyn FnMut() -> Result<(), PutError>| loop {
+        let send = |do_put: &mut dyn FnMut() -> Result<(), DirectError>| loop {
             match do_put() {
                 Ok(()) => break,
-                Err(PutError::WouldOverwrite) => thread::yield_now(),
+                Err(DirectError::Overwrite) => thread::yield_now(),
                 Err(e) => panic!("unexpected {e}"),
             }
         };
@@ -268,7 +268,7 @@ fn parallel_channel_pairs_stay_independent() {
             let tag = (p as u64 + 1) << 32;
             for i in 1..=ITERS {
                 let payload = stamped(4, tag | i);
-                while let Err(PutError::WouldOverwrite) = tx.put(&payload) {
+                while let Err(DirectError::Overwrite) = tx.put(&payload) {
                     thread::yield_now();
                 }
                 let msg = recv_yield(&mut rx);

@@ -21,9 +21,14 @@ pub type RelLink = (u32, u32);
 /// Exponential-backoff retransmission policy.
 ///
 /// Attempt `0` (the first retransmit) waits `base`; each further attempt
-/// multiplies by `factor`, saturating at `cap`. The defaults are deliberately
-/// far above the simulated fabrics' round-trip times (~1–10 µs) so that a
-/// fault-free run never spuriously retransmits.
+/// multiplies by `factor`, saturating at `cap`. The executor arms each
+/// attempt's timer at *send* time (`at + timeout(attempt)`), not at the
+/// expected arrival. The 100 µs default base is far above the round trip
+/// of a small transfer, but a transfer whose wire time exceeds the timeout
+/// is retransmitted while it is still arriving, even under a fault plan
+/// that injects nothing: a 256 KiB put on IB Abe retransmits twice per put.
+/// ROADMAP.md ("A fault plane that injects nothing must not move virtual
+/// time") tracks arming the timer from the expected arrival instead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Timeout before the first retransmission.

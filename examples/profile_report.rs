@@ -15,8 +15,8 @@
 
 use ckd_apps::jacobi3d::{run_jacobi_on, JacobiCfg};
 use ckd_apps::{Platform, Variant};
-use ckd_charm::backend::{CompletionBackend, DcmfCallback, IbSentinelPoll, SharedMem};
-use ckd_charm::{validate_snapshot_jsonl, Machine, ProfConfig, TraceConfig};
+use ckd_charm::backend::{DcmfCallback, IbSentinelPoll, SharedMem};
+use ckd_charm::{validate_snapshot_jsonl, Backend, Machine, ProfConfig, TraceConfig};
 
 fn cfg() -> JacobiCfg {
     JacobiCfg {
@@ -39,7 +39,7 @@ fn profiled_run() -> Machine {
     m
 }
 
-fn traced_run_on(backend: impl CompletionBackend + 'static) -> Machine {
+fn traced_run_on(backend: Backend) -> Machine {
     let mut m = Platform::IbAbe { cores_per_node: 8 }
         .builder(8)
         .with_backend(backend)

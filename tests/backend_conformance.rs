@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 use ckd_apps::jacobi3d::{run_jacobi_grid_on, JacobiCfg};
 use ckd_apps::{Platform, Variant};
 use ckd_bench::{backends_grid, run_sweep, sweep_json, validate_sweep_json, RunRecord};
-use ckd_charm::backend::NotifiedPut;
+use ckd_charm::Backend;
 
 /// Execute the 16-point backend grid once and share the records across
 /// the whole suite (each test inspects a different invariant).
@@ -159,7 +159,7 @@ fn cq_backpressure_delays_landings_without_changing_results() {
     let run = |depth: Option<usize>| {
         let mut b = Platform::Slingshot.builder(8);
         if let Some(d) = depth {
-            b = b.with_backend(NotifiedPut::with_depth(d));
+            b = b.with_backend(Backend::notified(d));
         }
         let mut m = b.build();
         let (r, grid) = run_jacobi_grid_on(&mut m, cfg);

@@ -633,7 +633,7 @@ fn direct_channel_roundtrips_any_payload() {
         let (mut tx, mut rx) = direct::channel(n, oob);
         let res = tx.put(&payload);
         if last == oob {
-            assert_eq!(res.unwrap_err(), direct::PutError::OobCollision);
+            assert_eq!(res.unwrap_err(), DirectError::OobCollision);
         } else {
             res.unwrap();
             assert_eq!(rx.try_recv().unwrap(), payload);
